@@ -10,21 +10,21 @@ and searches expand candidates in that order.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass
-from math import comb
 from typing import Optional
 
 from .coefficients import fnomial
 from .errors import SearchBudgetExceeded
-from .fsequence import FSequence, term
+from .fsequence import FSequence
 from .geometry import (
     DEFAULT_BLOCK_CAP,
     Block,
     Layer,
     PlainShape,
     block_family,
+    build_layer,
+    overlap_masks,
 )
 from .tiling import Tiling, _sorted_blocks, verify_tiling
 
@@ -40,23 +40,15 @@ def block_count_formula(
 ) -> BlockCountReport:
     """Size of the block family of <k -> n>, in both counting semantics.
 
-    The pair count sums, over all orientation permutations of the m
-    block levels, the ways to choose the level subsets; when the
-    sequence repeats terms, distinct orientations can describe the same
-    vertex data, so the deduplicated count can be smaller.
+    The pair count (`geometry.pair_count`) sums, over all orientation
+    permutations of the m block levels, the ways to choose the level
+    subsets; when the sequence repeats terms, distinct orientations can
+    describe the same vertex data, so the deduplicated count can be
+    smaller.
     """
-    from .geometry import build_layer
-
     layer = build_layer(F, k, n)
-    m = layer.m
-    pair = 0
-    for sigma in itertools.permutations(range(1, m + 1)):
-        product = 1
-        for s in range(1, m + 1):
-            product *= comb(term(F, k + s - 1), term(F, sigma[s - 1]))
-        pair += product
-    distinct = len(block_family(layer, PlainShape(m), block_cap=block_cap).blocks)
-    return BlockCountReport(pair, distinct)
+    family = block_family(layer, PlainShape(layer.m), block_cap=block_cap)
+    return BlockCountReport(family.pair_count, len(family.blocks))
 
 
 @dataclass(frozen=True)
@@ -81,20 +73,15 @@ class BlockGraph:
 
 
 def build_block_graph(layer: Layer, *, block_cap: int = DEFAULT_BLOCK_CAP) -> BlockGraph:
+    """Block graph of the layer; adjacency is the complement of the
+    level-incidence index of `geometry.overlap_masks`."""
     blocks = block_family(layer, PlainShape(layer.m), block_cap=block_cap).blocks
-    level_masks = [
-        tuple(sum(1 << (v - 1) for v in level) for level in block.levels)
-        for block in blocks
-    ]
-    count = len(blocks)
-    adjacency = [0] * count
-    for i in range(count):
-        for j in range(i + 1, count):
-            if any(la & lb == 0 for la, lb in zip(level_masks[i], level_masks[j])):
-                adjacency[i] |= 1 << j
-                adjacency[j] |= 1 << i
+    everyone = (1 << len(blocks)) - 1
+    adjacency = tuple(
+        everyone & ~(overlap | 1 << i) for i, overlap in enumerate(overlap_masks(blocks))
+    )
     d = fnomial(layer.F, layer.n, layer.m)
-    return BlockGraph(layer, blocks, tuple(adjacency), d)
+    return BlockGraph(layer, blocks, adjacency, d)
 
 
 def _bits(mask: int):
@@ -104,41 +91,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-def find_clique(
-    graph: BlockGraph, d: Optional[int] = None, *, node_budget: int = 2_000_000
-) -> Optional[tuple[int, ...]]:
-    """First clique of size d in canonical order, or None if none exists.
-
-    Runs a depth-first extension with a counting bound; if the budget is
-    exhausted before the search is decided, SearchBudgetExceeded is
-    raised so the caller never mistakes an interrupted search for a
-    proof of absence.
-    """
-    want = graph.d if d is None else d
-    if want == 0:
-        return ()
-    nodes = 0
-
-    def extend(prefix: list[int], cand: int) -> Optional[tuple[int, ...]]:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise SearchBudgetExceeded(f"clique search exceeded {node_budget} nodes")
-        if len(prefix) == want:
-            return tuple(prefix)
-        if len(prefix) + cand.bit_count() < want:
-            return None
-        for v in _bits(cand):
-            prefix.append(v)
-            hit = extend(prefix, cand & graph.adjacency[v] & ~((1 << (v + 1)) - 1))
-            prefix.pop()
-            if hit is not None:
-                return hit
-        return None
-
-    return extend([], (1 << graph.vertex_count()) - 1)
-
-
 @dataclass(frozen=True)
 class CliqueSearchResult:
     cliques: tuple[tuple[int, ...], ...]
@@ -146,40 +98,81 @@ class CliqueSearchResult:
     nodes: int
 
 
+class _Stop(Exception):
+    """Unwinds the clique search; args[0] is whether it was decided."""
+
+
+def _size_d_cliques(
+    graph: BlockGraph, d: Optional[int], node_budget: int, limit: int
+) -> CliqueSearchResult:
+    """Cliques of exactly size d in canonical order, the first `limit` of
+    them (all for limit=0), by a depth-first extension over candidates
+    above the last vertex taken.
+
+    A node is one candidate tried as the next vertex of a prefix.  The
+    sibling loop stops as soon as the candidates left could no longer
+    complete the clique, and a node whose own candidates are too few is
+    not expanded.  complete=False means the node budget ran out first.
+    """
+    want = graph.d if d is None else d
+    if want < 0:
+        raise ValueError(f"clique size must be >= 0, got {want}")
+    adjacency = graph.adjacency
+    out: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+    nodes = 0
+
+    def extend(cand: int, need: int) -> None:
+        nonlocal nodes
+        if not need:
+            out.append(tuple(prefix))
+            if len(out) == limit:
+                raise _Stop(True)
+            return
+        need -= 1
+        while cand.bit_count() > need:
+            nodes += 1
+            if nodes > node_budget:
+                raise _Stop(False)
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            nxt = cand & adjacency[v]
+            if nxt.bit_count() >= need:
+                prefix.append(v)
+                extend(nxt, need)
+                prefix.pop()
+
+    try:
+        extend((1 << graph.vertex_count()) - 1, want)
+        complete = True
+    except _Stop as stop:
+        complete = stop.args[0]
+    return CliqueSearchResult(tuple(out), complete, nodes)
+
+
+def find_clique(
+    graph: BlockGraph, d: Optional[int] = None, *, node_budget: int = 2_000_000
+) -> Optional[tuple[int, ...]]:
+    """First clique of size d in canonical order, or None if none exists.
+
+    If the node budget is exhausted before the search is decided,
+    SearchBudgetExceeded is raised so the caller never mistakes an
+    interrupted search for a proof of absence.
+    """
+    result = _size_d_cliques(graph, d, node_budget, 1)
+    if result.cliques:
+        return result.cliques[0]
+    if not result.complete:
+        raise SearchBudgetExceeded(f"clique search exceeded {node_budget} nodes")
+    return None
+
+
 def enumerate_size_d_cliques(
     graph: BlockGraph, d: Optional[int] = None, *, node_budget: int = 5_000_000
 ) -> CliqueSearchResult:
     """All cliques of exactly size d, each reported once, sorted."""
-    want = graph.d if d is None else d
-    out: list[tuple[int, ...]] = []
-    nodes = 0
-    complete = True
-
-    def extend(prefix: list[int], cand: int) -> None:
-        nonlocal nodes, complete
-        if not complete:
-            return
-        nodes += 1
-        if nodes > node_budget:
-            complete = False
-            return
-        if len(prefix) == want:
-            out.append(tuple(prefix))
-            return
-        if len(prefix) + cand.bit_count() < want:
-            return
-        for v in _bits(cand):
-            if not complete:
-                return
-            prefix.append(v)
-            extend(prefix, cand & graph.adjacency[v] & ~((1 << (v + 1)) - 1))
-            prefix.pop()
-
-    if want > 0:
-        extend([], (1 << graph.vertex_count()) - 1)
-    elif want == 0:
-        out.append(())
-    return CliqueSearchResult(tuple(out), complete, nodes)
+    return _size_d_cliques(graph, d, node_budget, 0)
 
 
 def enumerate_maximal_cliques(

@@ -21,9 +21,10 @@ def f_factorial(F: FSequence, n: int) -> int:
     """n_F! = n_F * (n-1)_F * ... * 1_F, with 0_F! = 1."""
     if n < 0:
         raise ValueError("f_factorial needs n >= 0")
-    if n == 0:
-        return 1
-    return term(F, n) * f_factorial(F, n - 1)
+    out = 1
+    for i in range(1, n + 1):
+        out *= term(F, i)
+    return out
 
 
 def falling_f_factorial(F: FSequence, n: int, m: int) -> int:

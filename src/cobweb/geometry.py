@@ -247,15 +247,16 @@ def blocks_disjoint(a: Block, b: Block) -> bool:
     return False
 
 
-def overlapping_pairs(blocks) -> Iterator[tuple[int, int]]:
-    """Index pairs (i, j), i < j, of blocks that share a maximal path, in order.
+def overlap_masks(blocks) -> list[int]:
+    """For each block i, the bitmask of the other blocks sharing a maximal
+    path with it.
 
     A level-incidence index maps, per level position, each vertex to the
     bitmask of blocks holding it there.  The blocks meeting block i on a
     level are the OR of its vertices' masks, so the blocks sharing a path
     with it are the AND of those over its levels.  Levels are matched by
     position from the bottom and only positions both blocks have are
-    compared; on equal spans this is `not blocks_disjoint`.
+    compared; on equal spans bit j of mask i is `not blocks_disjoint`.
     """
     depth = max((len(block.levels) for block in blocks), default=0)
     holders: list[dict[int, int]] = [{} for _ in range(depth)]
@@ -269,19 +270,33 @@ def overlapping_pairs(blocks) -> Iterator[tuple[int, int]]:
         for pos in range(len(block.levels), depth):
             absent[pos] |= bit
     everyone = (1 << len(blocks)) - 1
+    hits: list[dict[tuple[int, ...], int]] = [{} for _ in range(depth)]
+    masks = []
     for i, block in enumerate(blocks):
-        meet = everyone >> (i + 1) << (i + 1)
+        meet = everyone ^ (1 << i)
         for pos, level in enumerate(block.levels):
             if not meet:
                 break
-            hit = absent[pos]
-            index = holders[pos]
-            for v in level:
-                hit |= index[v]
+            hit = hits[pos].get(level)
+            if hit is None:  # blocks often share a level subset
+                hit = absent[pos]
+                index = holders[pos]
+                for v in level:
+                    hit |= index[v]
+                hits[pos][level] = hit
             meet &= hit
+        masks.append(meet)
+    return masks
+
+
+def overlapping_pairs(blocks) -> Iterator[tuple[int, int]]:
+    """Index pairs (i, j), i < j, of blocks that share a maximal path, in
+    order; read off `overlap_masks`."""
+    for i, meet in enumerate(overlap_masks(blocks)):
+        meet >>= i + 1
         while meet:
             low = meet & -meet
-            yield i, low.bit_length() - 1
+            yield i, i + low.bit_length()
             meet ^= low
 
 

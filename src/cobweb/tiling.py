@@ -342,7 +342,9 @@ def verify_tiling(tiling: Tiling, *, volume_cap: int = DEFAULT_VOLUME_CAP) -> Ve
     level is reported as sharing a maximal path.  A block whose span
     mismatches the layer is compared with the others over the levels
     both have, counted from the bottom.  Blocks with a vertex off their
-    level are reported and left out of the explicit path cover.
+    level are reported and left out of the explicit path cover.  A level
+    that lists a vertex twice is reported, because the path count counts
+    the repeat, and so is a block whose level count is not the layer's.
     """
     layer = tiling.layer
     violations: list[str] = []
@@ -353,16 +355,23 @@ def verify_tiling(tiling: Tiling, *, volume_cap: int = DEFAULT_VOLUME_CAP) -> Ve
         wanted = sorted(term(layer.F, v) for v in tiling.kind.base_vector())
         if layer.k != 1:
             violations.append("multi tiling on a layer not starting at level 1")
+    sizes = layer.level_sizes()
     for b_idx, block in enumerate(tiling.blocks):
         if block.span != (layer.k, layer.n):
             violations.append(f"block {b_idx}: span {block.span} mismatches layer")
             continue
-        for i, level in enumerate(block.levels):
-            s = layer.k + i
+        if len(block.levels) != layer.m:
+            violations.append(
+                f"block {b_idx}: {len(block.levels)} levels, layer has {layer.m}"
+            )
+            continue
+        for s, level, size in zip(range(layer.k, layer.n + 1), block.levels, sizes):
             if not level:
                 violations.append(f"block {b_idx}: level {s} empty")
-            elif level[0] < 1 or level[-1] > layer.level_size(s):
+            elif level[0] < 1 or level[-1] > size:
                 violations.append(f"block {b_idx}: level {s} outside layer")
+            if len(level) > 1 and len(set(level)) != len(level):
+                violations.append(f"block {b_idx}: level {s} repeats a vertex")
         if sorted(block.level_cardinalities()) != wanted:
             violations.append(
                 f"block {b_idx}: cardinalities {block.level_cardinalities()} "
@@ -379,7 +388,6 @@ def verify_tiling(tiling: Tiling, *, volume_cap: int = DEFAULT_VOLUME_CAP) -> Ve
         )
 
     if layer.volume() <= volume_cap:
-        sizes = layer.level_sizes()
         index_of = {}
         for idx, path in enumerate(itertools.product(*[range(1, s + 1) for s in sizes])):
             index_of[path] = idx

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from cobweb import (
+    CustomTable,
     Fp,
     Natural,
     PlainShape,
@@ -120,6 +121,40 @@ class TestCliqueSearch:
         graph = build_block_graph(build_layer(Natural(), 3, 4))
         with pytest.raises(SearchBudgetExceeded):
             find_clique(graph, node_budget=2)
+
+    SMALL_GRAPHS = [
+        (Natural(), 2, 3),
+        (Natural(), 4, 4),
+        (Natural(), 1, 3),
+        (Fp(1), 2, 4),
+        (Fp(1), 3, 4),
+        (CustomTable((1, 2, 2, 1, 4, 3)), 4, 6),
+    ]
+
+    @pytest.mark.parametrize("F, k, n", SMALL_GRAPHS)
+    def test_size_d_cliques_match_combinations(self, F, k, n):
+        # every vertex set of the size, in lexicographic order, kept when
+        # all its pairs are adjacent
+        graph = build_block_graph(build_layer(F, k, n))
+        adjacency = graph.adjacency
+        for want in sorted({0, 1, graph.d - 1, graph.d, graph.d + 1} - {-1}):
+            reference = tuple(
+                combo
+                for combo in itertools.combinations(range(graph.vertex_count()), want)
+                if all(adjacency[a] >> b & 1 for a, b in itertools.combinations(combo, 2))
+            )
+            result = enumerate_size_d_cliques(graph, want)
+            assert result.complete
+            assert result.cliques == reference, want
+            first = find_clique(graph, want)
+            assert first == (reference[0] if reference else None), want
+
+    def test_negative_size_refused(self):
+        graph = build_block_graph(build_layer(Natural(), 2, 3))
+        with pytest.raises(ValueError):
+            find_clique(graph, -1)
+        with pytest.raises(ValueError):
+            enumerate_size_d_cliques(graph, -1)
 
     def test_maximal_clique_enumeration_small(self):
         graph = build_block_graph(build_layer(Natural(), 4, 4))

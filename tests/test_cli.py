@@ -96,6 +96,17 @@ class TestTileVerifyRender:
         assert "violation: block 0: level 2 outside layer" in out
         assert err == ""
 
+    def test_short_block_fails_verify(self, capsys, tmp_path):
+        # a one-level block on the two-level layer fp:p=1 <1->2>, beyond
+        # the explicit path cover
+        out_file = tmp_path / "t.json"
+        out_file.write_text(json.dumps({"family": "fp:p=1", "span": [1, 2], "blocks": [
+            {"span": [1, 2], "levels": [[1]], "sigma": [1]}]}))
+        rc, out, err = run(capsys, "verify", str(out_file), "--cap-volume", "0")
+        assert rc == 1
+        assert "violation: block 0: 1 levels, layer has 2" in out
+        assert err == ""
+
     def test_multitile(self, capsys, tmp_path):
         out_file = tmp_path / "m.json"
         rc, out, _ = run(capsys, "multitile", "natural", "4", "2,2",

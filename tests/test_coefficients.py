@@ -1,7 +1,9 @@
 """Factorials, F-nomials, multi F-nomials, and their identities."""
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cobweb import (
@@ -31,6 +33,13 @@ class TestFactorials:
 
     def test_natural_factorial(self):
         assert f_factorial(Natural(), 4) == 24
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(0, 10_000))
+    @example(n=10_000)
+    def test_natural_factorial_matches_math(self, n):
+        # iterative, so large n does not hit the recursion limit
+        assert f_factorial(Natural(), n) == math.factorial(n)
 
     def test_fibonacci_factorial(self):
         assert f_factorial(Fp(1), 5) == 1 * 1 * 2 * 3 * 5

@@ -6,6 +6,7 @@ import pytest
 
 from cobweb import (
     CapExceeded,
+    CustomTable,
     Fp,
     Gaussian,
     Natural,
@@ -169,6 +170,26 @@ class TestDisjointness:
                 if not blocks_disjoint(blocks[i], blocks[j])
             ]
             assert list(overlapping_pairs(blocks)) == pairwise
+
+    @pytest.mark.parametrize("F, k, n", [
+        (Natural(), 2, 4),
+        (Fp(1), 3, 5),
+        (CustomTable((1, 2, 2, 1, 4, 3)), 4, 6),
+    ])
+    def test_overlap_masks_equal_pairwise(self, F, k, n):
+        # bit j of mask i is set exactly when blocks i != j share a path
+        from cobweb.geometry import overlap_masks
+
+        layer = build_layer(F, k, n)
+        blocks = block_family(layer, PlainShape(layer.m)).blocks
+        masks = overlap_masks(blocks)
+        assert len(masks) == len(blocks)
+        for i, a in enumerate(blocks):
+            expect = sum(
+                1 << j for j, b in enumerate(blocks)
+                if j != i and not blocks_disjoint(a, b)
+            )
+            assert masks[i] == expect, i
 
 
 class TestEnumerateBlocks:

@@ -230,6 +230,39 @@ class TestVerify:
             assert "block 0: level 3 outside layer" in report.violations
 
 
+    @pytest.mark.parametrize("cap", [5000, 0])
+    def test_repeated_vertex_reported(self, cap):
+        # (1, 1) in place of (1, 2): the path count counts the repeat, so
+        # beyond the volume cap only this check sees it
+        tiling = construct_tiling(Natural(), 3, 4)
+        first = tiling.blocks[0]
+        assert first.levels[-1] == (1, 2)
+        bad = Tiling(tiling.layer,
+                     (Block(first.span, first.levels[:-1] + ((1, 1),), first.sigma),)
+                     + tiling.blocks[1:], tiling.kind, "tampered")
+        report = verify_tiling(bad, volume_cap=cap)
+        assert not report.valid
+        assert "block 0: level 4 repeats a vertex" in report.violations
+
+    @pytest.mark.parametrize("cap", [5000, 0])
+    def test_level_count_mismatch_reported(self, cap):
+        # a one-level block on fp:p=1 <1->2>, and a three-level block with
+        # the span of natural <2->3>; neither raises
+        short = tiling_from_json({"family": "fp:p=1", "span": [1, 2], "blocks": [
+            {"span": [1, 2], "levels": [[1]], "sigma": [1]}]})
+        report = verify_tiling(short, volume_cap=cap)
+        assert not report.valid
+        assert "block 0: 1 levels, layer has 2" in report.violations
+        tiling = construct_tiling(Natural(), 2, 3)
+        first = tiling.blocks[0]
+        long = Tiling(tiling.layer,
+                      (Block(first.span, first.levels + ((1,),), first.sigma),)
+                      + tiling.blocks[1:], tiling.kind, "tampered")
+        report = verify_tiling(long, volume_cap=cap)
+        assert not report.valid
+        assert "block 0: 3 levels, layer has 2" in report.violations
+
+
 class TestConstructionCount:
     def test_bases(self):
         for F in lambda_families():
