@@ -8,6 +8,7 @@ from .errors import (
     NonIntegralCoefficient,
     SearchBudgetExceeded,
     TableRangeError,
+    TilingFormatError,
 )
 from .fsequence import (
     CustomTable,
@@ -47,12 +48,9 @@ from .geometry import (
     blocks_disjoint,
     build_layer,
     count_max_paths,
-    enumerate_blocks,
     iter_max_paths,
     make_block,
-    path_to_point,
     point_to_path,
-    volume,
 )
 from .tiling import (
     ChoiceStrategy,

@@ -149,9 +149,8 @@ def _strategy(args) -> tl.ChoiceStrategy:
     return tl.parse_strategy(args.strategy)
 
 
-def cmd_tile(args) -> int:
-    F = parse_family_spec(args.family)
-    tiling = tl.construct_tiling(F, args.k, args.n, _strategy(args))
+def _emit_tiling(args, tiling: tl.Tiling) -> int:
+    """Verify a constructed tiling, write it to --out, and report it."""
     report = tl.verify_tiling(tiling, volume_cap=args.cap_volume)
     obj = tiling.to_json_obj()
     if args.out:
@@ -160,20 +159,17 @@ def cmd_tile(args) -> int:
     _emit(args, payload,
           [f"{len(tiling.blocks)} blocks, valid={report.valid}"])
     return 0 if report.valid else 1
+
+
+def cmd_tile(args) -> int:
+    F = parse_family_spec(args.family)
+    return _emit_tiling(args, tl.construct_tiling(F, args.k, args.n, _strategy(args)))
 
 
 def cmd_multitile(args) -> int:
     F = parse_family_spec(args.family)
     parts = _parse_parts(args.parts)
-    tiling = tl.construct_multi_tiling(F, args.n, parts, _strategy(args))
-    report = tl.verify_tiling(tiling, volume_cap=args.cap_volume)
-    obj = tiling.to_json_obj()
-    if args.out:
-        _write_file(args.out, canonical_json(obj))
-    payload = {"tiling": obj, "valid": report.valid, "blocks": len(tiling.blocks)}
-    _emit(args, payload,
-          [f"{len(tiling.blocks)} blocks, valid={report.valid}"])
-    return 0 if report.valid else 1
+    return _emit_tiling(args, tl.construct_multi_tiling(F, args.n, parts, _strategy(args)))
 
 
 def cmd_count_tilings(args) -> int:
@@ -244,9 +240,7 @@ def cmd_verify(args) -> int:
 
 def cmd_render(args) -> int:
     obj = json.loads(Path(args.file).read_text(encoding="utf-8"))
-    F = parse_family_spec(obj["family"])
-    k, n = obj["span"]
-    sizes = [term(F, s) for s in range(k, n + 1)]
+    sizes = tl.tiling_from_json(obj).layer.level_sizes()
     style = RenderStyle(dx=args.dx, dy=args.dy, radius=args.radius)
     svg = render_tiling_svg(obj, sizes, style)
     _write_file(args.out, svg)
@@ -254,7 +248,7 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+def _apply_config(argv: list[str]) -> list[str]:
     """Inject defaults from a `key = value` config file; explicit flags win.
 
     The extra options are inserted directly after the subcommand token, so
@@ -387,15 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact integers print in full
     try:
-        argv = _apply_config(parser, argv)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_apply_config(argv))
         return args.func(args)
-    except CobwebError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (CobwebError, OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

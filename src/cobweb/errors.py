@@ -35,6 +35,10 @@ class NonIntegralCoefficient(CobwebError):
         )
 
 
+class TilingFormatError(CobwebError):
+    """A tiling JSON object lacks a field or has one of the wrong type."""
+
+
 class CapExceeded(CobwebError):
     """An enumeration refused to start or continue past a configured cap."""
 

@@ -57,10 +57,6 @@ def build_layer(F: FSequence, k: int, n: int) -> Layer:
     return Layer(F, k, n)
 
 
-def volume(layer: Layer) -> int:
-    return layer.volume()
-
-
 def iter_max_paths(layer: Layer, *, cap: int = DEFAULT_VOLUME_CAP) -> Iterator[tuple[int, ...]]:
     """All maximal paths (v_k, ..., v_n), lexicographic.  Cap-guarded."""
     if layer.volume() > cap:
@@ -79,7 +75,8 @@ def count_max_paths(layer: Layer, *, method: str = "formula", cap: int = DEFAULT
 
 
 def point_to_path(layer: Layer, point) -> tuple[int, ...]:
-    """Box point (v_1..v_m) -> maximal path (v_k..v_n); identity on coordinates."""
+    """Box point (v_1..v_m) -> maximal path (v_k..v_n); identity on
+    coordinates, so it is its own inverse."""
     point = tuple(point)
     if len(point) != layer.m:
         raise ValueError(f"point needs {layer.m} coordinates")
@@ -90,21 +87,20 @@ def point_to_path(layer: Layer, point) -> tuple[int, ...]:
     return point
 
 
-def path_to_point(layer: Layer, path) -> tuple[int, ...]:
-    """Inverse of point_to_path; the round trip is the identity."""
-    return point_to_path(layer, path)
-
-
 @dataclass(frozen=True)
 class PlainShape:
     """Block shape with level sizes (sigma(1)_F, ..., sigma(m)_F).
 
-    A concrete sigma picks one orientation; sigma=None denotes the whole
+    Its base vector 1..m is that of the one-part composition (m); a
+    concrete sigma picks one orientation; sigma=None denotes the whole
     family of orientations (used when enumerating).
     """
 
     m: int
     sigma: Optional[tuple[int, ...]] = None
+
+    def base_vector(self) -> tuple[int, ...]:
+        return tuple(range(1, self.m + 1))
 
 
 @dataclass(frozen=True)
@@ -189,22 +185,15 @@ def canonical_sigma(index_values: tuple[int, ...], cardinalities: tuple[int, ...
     return tuple(sigma)
 
 
-def _shape_cardinalities(layer: Layer, shape: ShapeFamily) -> tuple[int, ...]:
-    """Level cardinalities demanded by a concrete (sigma-carrying) shape."""
+def shape_values(layer: Layer, shape: ShapeFamily) -> tuple[int, ...]:
+    """Term values (v_F for each entry v of the shape's base vector) after
+    checking that the shape fits the layer."""
     if isinstance(shape, PlainShape):
         if shape.m != layer.m:
             raise ValueError(f"shape has {shape.m} levels, layer has {layer.m}")
-        sigma = shape.sigma or tuple(range(1, shape.m + 1))
-        if sorted(sigma) != list(range(1, shape.m + 1)):
-            raise ValueError(f"sigma {sigma} is not a permutation of 1..{shape.m}")
-        return tuple(term(layer.F, s) for s in sigma)
-    if layer.k != 1 or sum(shape.parts) != layer.n:
+    elif layer.k != 1 or sum(shape.parts) != layer.n:
         raise ValueError("multi blocks live on <1 -> n> with parts summing to n")
-    base = shape.base_vector()
-    sigma = shape.sigma or tuple(range(1, len(base) + 1))
-    if sorted(sigma) != list(range(1, len(base) + 1)):
-        raise ValueError(f"sigma {sigma} is not a permutation of 1..{len(base)}")
-    return tuple(term(layer.F, base[s - 1]) for s in sigma)
+    return tuple(term(layer.F, v) for v in shape.base_vector())
 
 
 def make_block(layer: Layer, shape: ShapeFamily, subsets) -> Block:
@@ -212,7 +201,11 @@ def make_block(layer: Layer, shape: ShapeFamily, subsets) -> Block:
     subsets = tuple(tuple(sorted(set(level))) for level in subsets)
     if len(subsets) != layer.m:
         raise ValueError(f"need {layer.m} level subsets, got {len(subsets)}")
-    wanted = _shape_cardinalities(layer, shape)
+    values = shape_values(layer, shape)
+    order = shape.sigma or tuple(range(1, len(values) + 1))
+    if sorted(order) != list(range(1, len(values) + 1)):
+        raise ValueError(f"sigma {order} is not a permutation of 1..{len(values)}")
+    wanted = tuple(values[s - 1] for s in order)
     for i, (subset, want) in enumerate(zip(subsets, wanted)):
         s = layer.k + i
         if not subset:
@@ -225,10 +218,6 @@ def make_block(layer: Layer, shape: ShapeFamily, subsets) -> Block:
             )
     sigma = shape.sigma
     if sigma is None:
-        if isinstance(shape, PlainShape):
-            values = tuple(term(layer.F, s) for s in range(1, layer.m + 1))
-        else:
-            values = tuple(term(layer.F, v) for v in shape.base_vector())
         sigma = canonical_sigma(values, tuple(len(s) for s in subsets))
     return Block((layer.k, layer.n), subsets, sigma)
 
@@ -303,14 +292,7 @@ def overlapping_pairs(blocks) -> Iterator[tuple[int, int]]:
 def _cardinality_vectors(layer: Layer, family: ShapeFamily) -> list[tuple[tuple[int, ...], int]]:
     """Distinct level-cardinality vectors of a shape family, each with the
     number of permutations sigma that produce it."""
-    if isinstance(family, PlainShape):
-        if family.m != layer.m:
-            raise ValueError(f"family has {family.m} levels, layer has {layer.m}")
-        values = tuple(term(layer.F, s) for s in range(1, family.m + 1))
-    else:
-        if layer.k != 1 or sum(family.parts) != layer.n:
-            raise ValueError("multi blocks live on <1 -> n> with parts summing to n")
-        values = tuple(term(layer.F, v) for v in family.base_vector())
+    values = shape_values(layer, family)
     weight = 1
     for value in set(values):
         weight *= factorial(values.count(value))
@@ -348,10 +330,7 @@ def block_family(
     if pairs > block_cap:
         raise CapExceeded(f"{pairs} (sigma, subsets) pairs exceed cap {block_cap}")
     sizes = layer.level_sizes()
-    if isinstance(family, PlainShape):
-        index_values = tuple(term(layer.F, s) for s in range(1, family.m + 1))
-    else:
-        index_values = tuple(term(layer.F, v) for v in family.base_vector())
+    index_values = shape_values(layer, family)
     seen: dict[tuple, Block] = {}
     for vector, _ in _cardinality_vectors(layer, family):
         if any(want > size for size, want in zip(sizes, vector)):
@@ -367,10 +346,3 @@ def block_family(
                 seen[key] = Block((layer.k, layer.n), subsets, sigma)
     blocks = tuple(seen[key] for key in sorted(seen))
     return BlockFamily(blocks, pairs)
-
-
-def enumerate_blocks(
-    layer: Layer, family: ShapeFamily, *, block_cap: int = DEFAULT_BLOCK_CAP
-) -> Iterator[Block]:
-    """Deduplicated stream of the family's blocks, canonical order."""
-    return iter(block_family(layer, family, block_cap=block_cap).blocks)

@@ -43,6 +43,12 @@ def _positions(span, level_sizes, style):
     return pos, width, height
 
 
+def _at(pos, s: int, v: int):
+    if (s, v) not in pos:
+        raise ValueError(f"vertex {v} of level {s} is not on the layer")
+    return pos[(s, v)]
+
+
 def render_tiling_svg(obj: dict, level_sizes, style: RenderStyle = RenderStyle()) -> str:
     """SVG for a tiling JSON object (blocks may be empty: layer skeleton)."""
     span = tuple(obj["span"])
@@ -59,7 +65,7 @@ def render_tiling_svg(obj: dict, level_sizes, style: RenderStyle = RenderStyle()
         levels = [sorted(level) for level in block["levels"]]
         if len(levels) == 1:
             for v in levels[0]:
-                x, y = pos[(k, v)]
+                x, y = _at(pos, k, v)
                 parts.append(
                     f'<circle cx="{x}" cy="{y}" r="{style.radius + 4}" '
                     f'fill="none" stroke="{color}" stroke-width="2"/>'
@@ -68,8 +74,8 @@ def render_tiling_svg(obj: dict, level_sizes, style: RenderStyle = RenderStyle()
             s = k + i
             for u in levels[i]:
                 for v in levels[i + 1]:
-                    x1, y1 = pos[(s, u)]
-                    x2, y2 = pos[(s + 1, v)]
+                    x1, y1 = _at(pos, s, u)
+                    x2, y2 = _at(pos, s + 1, v)
                     parts.append(
                         f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                         f'stroke="{color}" stroke-width="2"/>'

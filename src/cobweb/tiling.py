@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import Iterator, Optional
 
-from .errors import CapExceeded, LambdaRuleError
+from .errors import CapExceeded, LambdaRuleError, TilingFormatError
 from .fsequence import (
     FSequence,
     composition,
@@ -51,9 +52,11 @@ from .geometry import (
     PlainShape,
     ShapeFamily,
     block_family,
+    block_from_json,
     build_layer,
     canonical_sigma,
     overlapping_pairs,
+    shape_values,
 )
 
 
@@ -122,6 +125,15 @@ class Exhaustive(ChoiceStrategy):
         yield from rec(tuple(verts), tuple(sizes))
 
 
+def _construction_chooser(strategy: Optional[ChoiceStrategy]) -> ChoiceStrategy:
+    """Fresh chooser for one construction, lowest labels by default.  A
+    construction keeps only the first choice sequence, and the exhaustive
+    strategy's first is the lowest-labels one, so that is used instead."""
+    if strategy is None or isinstance(strategy, Exhaustive):
+        strategy = LowestLabels()
+    return strategy.fresh()
+
+
 def parse_strategy(text: str) -> ChoiceStrategy:
     text = text.strip().lower()
     if text == "lowest":
@@ -161,8 +173,10 @@ def _sorted_blocks(blocks) -> tuple[Block, ...]:
     return tuple(sorted(blocks, key=lambda b: b.levels))
 
 
-def _assemble_plain(layer: Layer, raw: list[dict[int, tuple[int, ...]]]) -> tuple[Block, ...]:
-    values = tuple(term(layer.F, s) for s in range(1, layer.m + 1))
+def _assemble(layer: Layer, shape: ShapeFamily, raw) -> tuple[Block, ...]:
+    """Blocks from {physical level: vertex tuple} maps, sorted, each with
+    its canonical sigma over the shape's base vector."""
+    values = shape_values(layer, shape)
     blocks = []
     for mapping in raw:
         levels = tuple(mapping[s] for s in range(layer.k, layer.n + 1))
@@ -223,29 +237,23 @@ def _plain_options(
 def construct_tiling(
     F: FSequence, k: int, n: int, strategy: Optional[ChoiceStrategy] = None
 ) -> Tiling:
-    """Build one tiling of <k -> n> by the recursive construction.
-
-    With the exhaustive strategy only the first choice sequence would be
-    kept, and that coincides with lowest-labels; it is substituted here
-    so a single construction never pays for the whole choice tree.
-    """
+    """Build one tiling of <k -> n> by the recursive construction."""
     layer = build_layer(F, k, n)
-    if isinstance(strategy, Exhaustive):
-        strategy = LowestLabels()
-    chooser = (strategy or LowestLabels()).fresh()
+    chooser = _construction_chooser(strategy)
     levels = tuple((s, _full_level(F, s)) for s in range(k, n + 1))
     first = next(_plain_options(F, levels, k, n, chooser))
-    blocks = _assemble_plain(layer, first)
+    shape = PlainShape(layer.m)
     label = type(chooser).__name__.lower()
-    return Tiling(layer, blocks, PlainShape(layer.m), f"construct:{label}")
+    return Tiling(layer, _assemble(layer, shape, first), shape, f"construct:{label}")
 
 
 def enumerate_construction_tilings(F: FSequence, k: int, n: int) -> Iterator[Tiling]:
     """One tiling per exhaustive choice sequence, repeats included."""
     layer = build_layer(F, k, n)
+    shape = PlainShape(layer.m)
     levels = tuple((s, _full_level(F, s)) for s in range(k, n + 1))
     for option in _plain_options(F, levels, k, n, Exhaustive()):
-        yield Tiling(layer, _assemble_plain(layer, option), PlainShape(layer.m), "construct:exhaustive")
+        yield Tiling(layer, _assemble(layer, shape, option), shape, "construct:exhaustive")
 
 
 @dataclass(frozen=True)
@@ -267,16 +275,6 @@ def construction_census(F: FSequence, k: int, n: int, *, limit: int = 1_000_000)
         sequences += 1
         distinct.add(tuple(sorted(tuple(blk[s] for s in span) for blk in option)))
     return ConstructionCensus(sequences, len(distinct))
-
-
-def _assemble_multi(layer: Layer, parts: tuple[int, ...], raw) -> tuple[Block, ...]:
-    base_values = tuple(term(layer.F, v) for v in MultiShape(parts).base_vector())
-    blocks = []
-    for mapping in raw:
-        levels = tuple(mapping[s] for s in range(1, layer.n + 1))
-        sigma = canonical_sigma(base_values, tuple(len(lv) for lv in levels))
-        blocks.append(Block((1, layer.n), levels, sigma))
-    return _sorted_blocks(blocks)
 
 
 def _multi_options(
@@ -314,13 +312,11 @@ def construct_multi_tiling(
     if sum(parts) != n:
         raise ValueError(f"composition {parts} does not sum to {n}")
     layer = build_layer(F, 1, n)
-    if isinstance(strategy, Exhaustive):
-        strategy = LowestLabels()
-    chooser = (strategy or LowestLabels()).fresh()
+    chooser = _construction_chooser(strategy)
     first = next(_multi_options(F, parts, n, chooser))
-    blocks = _assemble_multi(layer, parts, first)
+    shape = MultiShape(parts)
     label = type(chooser).__name__.lower()
-    return Tiling(layer, blocks, MultiShape(parts), f"construct-multi:{label}")
+    return Tiling(layer, _assemble(layer, shape, first), shape, f"construct-multi:{label}")
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +345,12 @@ def verify_tiling(tiling: Tiling, *, volume_cap: int = DEFAULT_VOLUME_CAP) -> Ve
     layer = tiling.layer
     violations: list[str] = []
 
-    if isinstance(tiling.kind, PlainShape):
-        wanted = sorted(term(layer.F, s) for s in range(1, layer.m + 1))
-    else:
-        wanted = sorted(term(layer.F, v) for v in tiling.kind.base_vector())
-        if layer.k != 1:
-            violations.append("multi tiling on a layer not starting at level 1")
+    kind = tiling.kind
+    if isinstance(kind, PlainShape):
+        kind = PlainShape(layer.m)  # the layer's profile, whatever kind.m says
+    elif layer.k != 1:
+        violations.append("multi tiling on a layer not starting at level 1")
+    wanted = sorted(term(layer.F, v) for v in kind.base_vector())
     sizes = layer.level_sizes()
     for b_idx, block in enumerate(tiling.blocks):
         if block.span != (layer.k, layer.n):
@@ -562,11 +558,11 @@ def enumerate_all_tilings(
 # JSON
 # ---------------------------------------------------------------------------
 
-def tiling_from_json(obj: dict) -> Tiling:
+def tiling_from_json(obj) -> Tiling:
     """Rebuild a tiling from its JSON object; the shape kind is inferred
-    from the blocks' level cardinalities."""
-    from .geometry import block_from_json
-
+    from the blocks' level cardinalities.  A missing field, or one of the
+    wrong type, raises TilingFormatError."""
+    _check_tiling_json(obj)
     F = parse_family_spec(obj["family"])
     k, n = obj["span"]
     layer = build_layer(F, k, n)
@@ -575,34 +571,61 @@ def tiling_from_json(obj: dict) -> Tiling:
     kind: ShapeFamily = PlainShape(layer.m)
     if blocks:
         cards = sorted(blocks[0].level_cardinalities())
-        plain = sorted(term(F, s) for s in range(1, layer.m + 1))
-        if cards != plain and k == 1:
+        if cards != sorted(shape_values(layer, kind)) and k == 1:
             kind = MultiShape(_parts_from_cardinalities(F, n, cards))
     return Tiling(layer, blocks, kind, obj.get("provenance", ""))
 
 
+def _ints(value, length: Optional[int] = None) -> bool:
+    """Whether a JSON value is a list of integers (of the given length)."""
+    return isinstance(value, list) and length in (None, len(value)) and all(
+        type(v) is int for v in value)
+
+
+def _check_tiling_json(obj) -> None:
+    def need(ok: bool, what: str) -> None:
+        if not ok:
+            raise TilingFormatError(f"malformed tiling: {what}")
+
+    need(isinstance(obj, dict), "not a JSON object")
+    need(isinstance(obj.get("family"), str), '"family" must be a string')
+    need(_ints(obj.get("span"), 2), '"span" must be two integers')
+    need(isinstance(obj.get("blocks"), list), '"blocks" must be a list')
+    for i, block in enumerate(obj["blocks"]):
+        need(isinstance(block, dict), f"block {i} is not an object")
+        need(_ints(block.get("span"), 2), f'block {i}: "span" must be two integers')
+        levels = block.get("levels")
+        need(isinstance(levels, list) and all(_ints(level) for level in levels),
+             f'block {i}: "levels" must be lists of integers')
+        need(_ints(block.get("sigma")), f'block {i}: "sigma" must be a list of integers')
+
+
 def _parts_from_cardinalities(F: FSequence, n: int, cards: list[int]) -> tuple[int, ...]:
-    """Recover a composition whose base vector has these term values.
+    """A composition whose base vector has these term values as a multiset.
 
-    The base vector of (b_1, ..., b_k) holds term(1..b_i) per part, so a
-    matching composition is found by repeatedly peeling the longest
-    prefix run term(1), ..., term(b) present.  Part order is not
-    recoverable and not needed (validation is multiset-based).
+    Part b contributes term(1..b), so this searches the partitions of
+    len(cards) into parts of at most n, largest parts first, remembering
+    the states that fail.  Part order is not recoverable and not needed
+    (validation is multiset-based).
     """
-    from collections import Counter
+    top = min(n, len(cards))
+    needs = [Counter(term(F, i) for i in range(1, b + 1)) for b in range(top + 1)]
+    failed: set = set()
 
-    remaining = Counter(cards)
-    parts = []
-    while remaining:
-        b = 0
-        for probe in range(1, n + 1):
-            need = Counter(term(F, i) for i in range(1, probe + 1))
-            if all(remaining[v] >= c for v, c in need.items()):
-                b = probe
-            else:
-                break
-        if b == 0:
-            raise ValueError(f"cardinalities {cards} match no composition")
-        remaining -= Counter(term(F, i) for i in range(1, b + 1))
-        parts.append(b)
-    return composition(sorted(parts, reverse=True))
+    def search(left: Counter, most: int) -> Optional[tuple[int, ...]]:
+        if not left:
+            return ()
+        state = (frozenset(left.items()), most)
+        if state not in failed:
+            for b in range(min(left.total(), most), 0, -1):
+                if needs[b] <= left:
+                    rest = search(left - needs[b], b)
+                    if rest is not None:
+                        return (b,) + rest
+            failed.add(state)
+        return None
+
+    parts = search(Counter(cards), top)
+    if parts is None:
+        raise ValueError(f"cardinalities {cards} match no composition")
+    return composition(parts)

@@ -1,9 +1,15 @@
 """CLI behaviour: output, exit codes, files, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cobweb import Fp, Natural, construct_multi_tiling, construct_tiling, fnomial
 from cobweb.cli import main
 
 
@@ -37,6 +43,14 @@ class TestCoeff:
         assert rc == 0
         assert data["recurrence_holds"]
         assert data["recurrence_lhs"] == data["recurrence_rhs"] == data["value"]
+
+    def test_value_beyond_default_digit_limit(self, capsys):
+        # 300 over 150 for the Fibonacci numbers has more than 4300 digits
+        rc, out, err = run(capsys, "coeff", "fp:p=1", "300", "150", "--json")
+        assert rc == 0 and err == ""
+        value = json.loads(out)["value"]
+        assert value == fnomial(Fp(1), 300, 150)
+        assert len(str(value)) > 4300
 
     def test_multicoeff(self, capsys):
         rc, out, _ = run(capsys, "multicoeff", "natural", "4", "2,2")
@@ -106,6 +120,30 @@ class TestTileVerifyRender:
         assert rc == 1
         assert "violation: block 0: 1 levels, layer has 2" in out
         assert err == ""
+
+    @pytest.mark.parametrize("command", ["verify", "render"])
+    @pytest.mark.parametrize("obj", [
+        {"span": [1, 2], "blocks": [
+            {"span": [1, 2], "levels": [[1], [1, 2]], "sigma": [1, 2]}]},
+        {"family": "natural", "span": [1, 2], "blocks": [
+            {"span": [1, 2], "levels": [[1], [1, "2"]], "sigma": [1, 2]}]},
+    ], ids=["no-family", "string-vertex"])
+    def test_malformed_tiling_is_one_line_error(self, capsys, tmp_path, command, obj):
+        in_file = tmp_path / "bad.json"
+        in_file.write_text(json.dumps(obj))
+        extra = ("--out", str(tmp_path / "bad.svg")) if command == "render" else ()
+        rc, out, err = run(capsys, command, str(in_file), *extra)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: malformed tiling: ")
+        assert err.count("\n") == 1
+
+    def test_render_vertex_off_layer_is_one_line_error(self, capsys, tmp_path):
+        in_file = tmp_path / "bad.json"
+        in_file.write_text(json.dumps({"family": "natural", "span": [1, 2], "blocks": [
+            {"span": [1, 2], "levels": [[1], [1, 9]], "sigma": [1, 2]}]}))
+        rc, _, err = run(capsys, "render", str(in_file), "--out", str(tmp_path / "b.svg"))
+        assert rc == 1
+        assert err == "error: vertex 9 of level 2 is not on the layer\n"
 
     def test_multitile(self, capsys, tmp_path):
         out_file = tmp_path / "m.json"
@@ -182,6 +220,15 @@ class TestGraph:
         assert rc == 0 and data["maximal_cliques"] == 1
 
 
+    @pytest.mark.parametrize("flag", ["--find-clique", "--count-max-cliques"])
+    def test_search_deeper_than_recursion_limit(self, capsys, flag):
+        # one level of 1200 vertices: V = d = 1200 single-vertex blocks
+        rc, out, err = run(capsys, "graph", "natural", "1200", "1200", flag)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: maximum recursion depth exceeded")
+        assert err.count("\n") == 1
+
+
 class TestErrorsAndConfig:
     def test_bad_family_is_domain_error(self, capsys):
         rc, _, err = run(capsys, "seq", "bogus:family")
@@ -224,3 +271,54 @@ class TestDeterminism:
         rc2, out2, _ = run(capsys, *argv)
         assert rc1 == rc2 == 0
         assert out1 == out2
+
+
+def _slots(node):
+    """Every (container, key) pair inside a JSON value."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        items = []
+    for key, child in items:
+        yield node, key
+        yield from _slots(child)
+
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12), st.floats(allow_nan=False),
+    st.sampled_from(["", "2", "natural", "fp:p=1", "table:[1,2", "bogus"]),
+    st.lists(st.integers(-1, 4), max_size=3), st.dictionaries(st.just("span"), st.none()),
+)
+
+
+class TestVerifyFuzz:
+    """`cobweb verify` on mutated tiling files: keys dropped, values of
+    other types, vertices off their level, other spans."""
+
+    BASES = [
+        construct_tiling(Natural(), 2, 3).to_json_obj(),
+        construct_tiling(Fp(1), 1, 4).to_json_obj(),
+        construct_multi_tiling(Natural(), 3, (2, 1)).to_json_obj(),
+    ]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_and_one_line_error(self, tmp_path_factory, data):
+        doc = {"root": copy.deepcopy(data.draw(st.sampled_from(self.BASES)))}
+        for _ in range(data.draw(st.integers(1, 3))):
+            container, key = data.draw(st.sampled_from(list(_slots(doc))))
+            if data.draw(st.booleans()) and container is not doc:
+                del container[key]
+            else:
+                container[key] = data.draw(JUNK)
+        path = tmp_path_factory.mktemp("fuzz") / "t.json"
+        path.write_text(json.dumps(doc["root"]))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["verify", str(path)])
+        assert rc in (0, 1, 2)
+        if err.getvalue():
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1

@@ -16,14 +16,12 @@ from cobweb import (
     blocks_disjoint,
     build_layer,
     count_max_paths,
-    enumerate_blocks,
     iter_max_paths,
     make_block,
-    path_to_point,
     point_to_path,
     term,
-    volume,
 )
+from cobweb.geometry import shape_values
 from conftest import lambda_families
 
 
@@ -36,7 +34,7 @@ class TestLayer:
     def test_single_level(self):
         layer = build_layer(Gaussian(2), 4, 4)
         assert layer.level_sizes() == (15,)
-        assert volume(layer) == 15
+        assert layer.volume() == 15
 
     def test_fibonacci_levels(self):
         layer = build_layer(Fp(1), 1, 5)
@@ -51,11 +49,11 @@ class TestLayer:
 
 class TestVolume:
     def test_box_volume(self):
-        assert volume(build_layer(Natural(), 2, 4)) == 24
+        assert build_layer(Natural(), 2, 4).volume() == 24
 
     def test_whole_box_is_factorial(self):
         # <1 -> 4> over the naturals holds 4! maximal paths
-        assert volume(build_layer(Natural(), 1, 4)) == 24
+        assert build_layer(Natural(), 1, 4).volume() == 24
 
     def test_stream_agrees_with_formula(self):
         for F in lambda_families():
@@ -79,7 +77,7 @@ class TestPointPathBijection:
         points = set(itertools.product(*[range(1, s + 1) for s in layer.level_sizes()]))
         assert {point_to_path(layer, p) for p in points} == paths
         for p in points:
-            assert path_to_point(layer, point_to_path(layer, p)) == p
+            assert point_to_path(layer, point_to_path(layer, p)) == p
 
     def test_single_level(self):
         layer = build_layer(Natural(), 3, 3)
@@ -147,7 +145,7 @@ class TestDisjointness:
 
     def test_levelwise_equals_pathwise(self):
         layer = build_layer(Natural(), 2, 4)
-        blocks = list(enumerate_blocks(layer, PlainShape(3)))
+        blocks = block_family(layer, PlainShape(3)).blocks
         for a, b in itertools.combinations(blocks[:40], 2):
             explicit = not (set(a.iter_paths()) & set(b.iter_paths()))
             assert blocks_disjoint(a, b) == explicit
@@ -239,10 +237,32 @@ class TestEnumerateBlocks:
 
     def test_deterministic_order(self):
         layer = build_layer(Natural(), 3, 4)
-        first = list(enumerate_blocks(layer, PlainShape(2)))
-        second = list(enumerate_blocks(layer, PlainShape(2)))
+        first = block_family(layer, PlainShape(2)).blocks
+        second = block_family(layer, PlainShape(2)).blocks
         assert first == second
-        assert first == sorted(first, key=lambda b: b.levels)
+        assert list(first) == sorted(first, key=lambda b: b.levels)
+
+
+class TestShapeValues:
+    def test_plain_is_the_one_part_composition(self):
+        layer = build_layer(Fp(1), 1, 5)
+        assert PlainShape(5).base_vector() == MultiShape((5,)).base_vector()
+        assert shape_values(layer, PlainShape(5)) == (1, 1, 2, 3, 5)
+        assert shape_values(layer, MultiShape((5,))) == (1, 1, 2, 3, 5)
+        assert shape_values(layer, MultiShape((2, 3))) == (1, 1, 1, 1, 2)
+
+    def test_plain_values_do_not_depend_on_span(self):
+        # a plain block's sizes are 1_F..m_F wherever the layer sits
+        assert shape_values(build_layer(Natural(), 3, 5), PlainShape(3)) == (1, 2, 3)
+
+    @pytest.mark.parametrize("span, shape", [
+        ((2, 4), PlainShape(2)),
+        ((2, 4), MultiShape((2, 1))),
+        ((1, 4), MultiShape((2, 1))),
+    ])
+    def test_shape_must_fit_layer(self, span, shape):
+        with pytest.raises(ValueError):
+            shape_values(build_layer(Natural(), *span), shape)
 
 
 class TestBlockJson:

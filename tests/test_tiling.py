@@ -16,6 +16,7 @@ from cobweb import (
     MultiShape,
     Seeded,
     Tiling,
+    TilingFormatError,
     build_layer,
     construct_multi_tiling,
     construct_tiling,
@@ -25,11 +26,12 @@ from cobweb import (
     enumerate_construction_tilings,
     fnomial,
     multi_fnomial,
+    term,
     tiling_from_json,
     verify_tiling,
 )
 from cobweb.geometry import Block, blocks_disjoint
-from conftest import compositions_of, lambda_families
+from conftest import TABLE_B, compositions_of, lambda_families
 
 
 def pairwise_overlaps(tiling):
@@ -384,3 +386,53 @@ class TestTilingJson:
         assert isinstance(again.kind, MultiShape)
         assert sorted(again.kind.parts) == [2, 2]
         assert verify_tiling(again).valid
+
+    def test_two_by_two_shape_inferred(self):
+        # the level sizes 1, 2, 1, 4 realise (2, 2) with base values
+        # [1, 1, 2, 2]; taking the longest run 1, 2, 1 first fits nothing
+        T = CustomTable((1, 2, 1, 4))
+        tiling = tiling_from_json({"family": T.spec_string(), "span": [1, 4], "blocks": [
+            {"span": [1, 4], "levels": [[1], [1, 2], [1], [1, 2]], "sigma": [1, 2, 3, 4]},
+            {"span": [1, 4], "levels": [[1], [1, 2], [1], [3, 4]], "sigma": [1, 2, 3, 4]},
+        ]})
+        assert tiling.kind == MultiShape((2, 2))
+        assert verify_tiling(tiling).valid
+
+    @pytest.mark.parametrize("F", [Fp(1), Natural(), TABLE_B],
+                             ids=lambda F: F.spec_string())
+    def test_inferred_parts_realise_every_composition(self, F):
+        # the inferred composition has the same multiset of base term values
+        # as the one the cardinalities came from
+        from cobweb.tiling import _parts_from_cardinalities
+
+        def values(parts):
+            return sorted(term(F, v) for v in MultiShape(parts).base_vector())
+
+        for n in range(1, 7):
+            for parts in compositions_of(n):
+                found = _parts_from_cardinalities(F, n, values(parts))
+                assert values(found) == values(parts), parts
+                assert list(found) == sorted(found, reverse=True)
+
+    @pytest.mark.parametrize("obj", [
+        [],
+        {"span": [1, 2], "blocks": []},
+        {"family": 7, "span": [1, 2], "blocks": []},
+        {"family": "natural", "span": [1], "blocks": []},
+        {"family": "natural", "span": [1, "2"], "blocks": []},
+        {"family": "natural", "span": [1, 2], "blocks": {}},
+        {"family": "natural", "span": [1, 2], "blocks": [[1]]},
+        {"family": "natural", "span": [1, 2], "blocks": [
+            {"levels": [[1], [1, 2]], "sigma": [1, 2]}]},
+        {"family": "natural", "span": [1, 2], "blocks": [
+            {"span": [1, 2], "levels": [[1], [1, "2"]], "sigma": [1, 2]}]},
+        {"family": "natural", "span": [1, 2], "blocks": [
+            {"span": [1, 2], "levels": [[1], [1, True]], "sigma": [1, 2]}]},
+        {"family": "natural", "span": [1, 2], "blocks": [
+            {"span": [1, 2], "levels": [[1], 2], "sigma": [1, 2]}]},
+        {"family": "natural", "span": [1, 2], "blocks": [
+            {"span": [1, 2], "levels": [[1], [1, 2]]}]},
+    ])
+    def test_malformed_json_refused(self, obj):
+        with pytest.raises(TilingFormatError, match="^malformed tiling: "):
+            tiling_from_json(obj)
