@@ -47,7 +47,6 @@ from .geometry import (
     block_family,
     blocks_disjoint,
     build_layer,
-    count_max_paths,
     iter_max_paths,
     make_block,
     point_to_path,

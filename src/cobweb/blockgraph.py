@@ -22,6 +22,7 @@ from .geometry import (
     Block,
     Layer,
     PlainShape,
+    bits,
     block_family,
     build_layer,
     overlap_masks,
@@ -84,13 +85,6 @@ def build_block_graph(layer: Layer, *, block_cap: int = DEFAULT_BLOCK_CAP) -> Bl
     return BlockGraph(layer, blocks, adjacency, d)
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 @dataclass(frozen=True)
 class CliqueSearchResult:
     cliques: tuple[tuple[int, ...], ...]
@@ -98,8 +92,8 @@ class CliqueSearchResult:
     nodes: int
 
 
-class _Stop(Exception):
-    """Unwinds the clique search; args[0] is whether it was decided."""
+class _Enough(Exception):
+    """Unwinds the clique search once `limit` cliques are found."""
 
 
 def _size_d_cliques(
@@ -127,13 +121,13 @@ def _size_d_cliques(
         if not need:
             out.append(tuple(prefix))
             if len(out) == limit:
-                raise _Stop(True)
+                raise _Enough
             return
         need -= 1
         while cand.bit_count() > need:
             nodes += 1
             if nodes > node_budget:
-                raise _Stop(False)
+                raise SearchBudgetExceeded(f"clique search exceeded {node_budget} nodes")
             low = cand & -cand
             cand ^= low
             v = low.bit_length() - 1
@@ -143,11 +137,13 @@ def _size_d_cliques(
                 extend(nxt, need)
                 prefix.pop()
 
+    complete = True
     try:
         extend((1 << graph.vertex_count()) - 1, want)
-        complete = True
-    except _Stop as stop:
-        complete = stop.args[0]
+    except _Enough:
+        pass
+    except SearchBudgetExceeded:
+        complete = False
     return CliqueSearchResult(tuple(out), complete, nodes)
 
 
@@ -181,35 +177,33 @@ def enumerate_maximal_cliques(
     """All maximal cliques (Bron-Kerbosch with pivoting), sorted."""
     out: list[tuple[int, ...]] = []
     nodes = 0
-    complete = True
 
     def bk(r: list[int], p: int, x: int) -> None:
-        nonlocal nodes, complete
-        if not complete:
-            return
+        nonlocal nodes
         nodes += 1
         if nodes > node_budget:
-            complete = False
-            return
+            raise SearchBudgetExceeded(f"clique search exceeded {node_budget} nodes")
         if p == 0 and x == 0:
             out.append(tuple(r))
             return
         # pivot: candidate with the most neighbours inside p, lowest index wins
         pivot, best = -1, -1
-        for u in _bits(p | x):
+        for u in bits(p | x):
             size = (p & graph.adjacency[u]).bit_count()
             if size > best:
                 pivot, best = u, size
-        for v in _bits(p & ~graph.adjacency[pivot]):
-            if not complete:
-                return
+        for v in bits(p & ~graph.adjacency[pivot]):
             r.append(v)
             bk(r, p & graph.adjacency[v], x & graph.adjacency[v])
             r.pop()
             p &= ~(1 << v)
             x |= 1 << v
 
-    bk([], (1 << graph.vertex_count()) - 1, 0)
+    try:
+        bk([], (1 << graph.vertex_count()) - 1, 0)
+        complete = True
+    except SearchBudgetExceeded:
+        complete = False
     return CliqueSearchResult(tuple(sorted(out)), complete, nodes)
 
 
@@ -253,9 +247,8 @@ def to_dot(graph: BlockGraph) -> str:
     lines = ["graph blockgraph {"]
     for idx, block in enumerate(graph.blocks):
         lines.append(f'  v{idx} [label="{block_label(block)}"];')
-    for i in range(graph.vertex_count()):
-        for j in _bits(graph.adjacency[i]):
-            if j > i:
-                lines.append(f"  v{i} -- v{j};")
+    for i, adjacent in enumerate(graph.adjacency):
+        for j in bits(adjacent >> i + 1):
+            lines.append(f"  v{i} -- v{i + 1 + j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -15,8 +15,9 @@ verify          validate a tiling JSON file
 render          draw a tiling JSON file as SVG
 
 Global flags: --json for machine-readable stdout, --seed for the seeded
-strategy default, --cap-volume / --cap-vertices for enumeration guards,
---config for a `key = value` file supplying flag defaults (flags win).
+strategy default, --cap-volume / --cap-vertices for enumeration and
+construction guards, --config for a `key = value` file supplying flag
+defaults (flags win).
 Exit codes: 0 success, 1 domain failure, 2 usage error.
 """
 
@@ -29,7 +30,8 @@ from pathlib import Path
 
 from . import blockgraph as bg
 from . import tiling as tl
-from .errors import CobwebError
+from .coefficients import fnomial, multi_fnomial
+from .errors import CapExceeded, CobwebError
 from .fsequence import is_cobweb_admissible, parse_family_spec, term
 from .geometry import (
     DEFAULT_BLOCK_CAP,
@@ -73,7 +75,7 @@ def cmd_seq(args) -> int:
 
 
 def cmd_coeff(args) -> int:
-    from .coefficients import check_fnomial_recurrence, fnomial
+    from .coefficients import check_fnomial_recurrence
 
     F = parse_family_spec(args.family)
     value = fnomial(F, args.n, args.k)
@@ -94,7 +96,7 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_multicoeff(args) -> int:
-    from .coefficients import check_multi_recurrence, multi_fnomial
+    from .coefficients import check_multi_recurrence
 
     F = parse_family_spec(args.family)
     parts = _parse_parts(args.parts)
@@ -161,15 +163,31 @@ def _emit_tiling(args, tiling: tl.Tiling) -> int:
     return 0 if report.valid else 1
 
 
+def _refuse_over_cap(args, block_count) -> None:
+    """Refuse a construction of more than --cap-vertices blocks up front.
+    An input whose block count cannot be computed is left to the
+    construction, which reports its error as it would without this check."""
+    try:
+        blocks = block_count()
+    except (CobwebError, ValueError):
+        return
+    if blocks > args.cap_vertices:
+        raise CapExceeded(f"tiling has {blocks} blocks, over the cap {args.cap_vertices}")
+
+
 def cmd_tile(args) -> int:
     F = parse_family_spec(args.family)
-    return _emit_tiling(args, tl.construct_tiling(F, args.k, args.n, _strategy(args)))
+    strategy = _strategy(args)
+    _refuse_over_cap(args, lambda: fnomial(F, args.n, build_layer(F, args.k, args.n).m))
+    return _emit_tiling(args, tl.construct_tiling(F, args.k, args.n, strategy))
 
 
 def cmd_multitile(args) -> int:
     F = parse_family_spec(args.family)
     parts = _parse_parts(args.parts)
-    return _emit_tiling(args, tl.construct_multi_tiling(F, args.n, parts, _strategy(args)))
+    strategy = _strategy(args)
+    _refuse_over_cap(args, lambda: multi_fnomial(F, parts) if sum(parts) == args.n else 0)
+    return _emit_tiling(args, tl.construct_multi_tiling(F, args.n, parts, strategy))
 
 
 def cmd_count_tilings(args) -> int:

@@ -87,7 +87,7 @@ def check_multi_recurrence(F: FSequence, parts) -> bool:
     return total == multi_fnomial(F, parts)
 
 
-def check_identities(F: FSequence, n: int, b: int, rest=(), perm=None) -> bool:
+def check_identities(F: FSequence, n: int, b: int, rest=()) -> bool:
     """Symmetry, part-permutation invariance, and the product identity.
 
     * symmetry: (n over b) = (n over n-b) = (n over b, n-b);
@@ -101,11 +101,9 @@ def check_identities(F: FSequence, n: int, b: int, rest=(), perm=None) -> bool:
 
     parts = composition((b,) + tuple(rest)) if rest else (b, n - b)
     reference = multi_fnomial(F, parts)
-    if perm is not None:
-        orders = [tuple(parts[i] for i in perm)]
-    else:
-        orders = set(permutations(parts))
-    invariant = all(multi_fnomial(F, order) == reference for order in orders)
+    invariant = all(
+        multi_fnomial(F, order) == reference for order in set(permutations(parts))
+    )
 
     product = True
     if rest:

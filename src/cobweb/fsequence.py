@@ -57,10 +57,6 @@ class FSequence:
     def _lambda(self, k: int, m: int) -> LambdaPair:
         raise LambdaRuleError(f"{self.spec_string()} carries no splitting rule")
 
-    @property
-    def has_lambda_rules(self) -> bool:
-        return True
-
     def spec_string(self) -> str:
         raise NotImplementedError
 
@@ -215,10 +211,6 @@ class CustomTable(FSequence):
                 f"index {n} outside table of length {len(self.terms)}"
             )
         return self.terms[n - 1]
-
-    @property
-    def has_lambda_rules(self):
-        return False
 
     def spec_string(self):
         return "table:[" + ",".join(map(str, self.terms)) + "]"

@@ -9,7 +9,9 @@ level) correspond one-for-one to the points of the discrete box
 Blocks store one vertex subset per level and never materialise their
 path sets; the path set of a block is the product of its level subsets,
 so two blocks are max-disjoint exactly when they are disjoint on some
-level.  Oracles that do materialise paths are cap-guarded.
+level.  The two bitmask indices live here: `overlap_masks` (block to
+block) and `path_masks` (block to path, for the cap-guarded oracles that
+do materialise paths), with `bits` as the one set-bit walk.
 """
 
 from __future__ import annotations
@@ -63,15 +65,6 @@ def iter_max_paths(layer: Layer, *, cap: int = DEFAULT_VOLUME_CAP) -> Iterator[t
         raise CapExceeded(f"volume {layer.volume()} exceeds streaming cap {cap}")
     ranges = [range(1, size + 1) for size in layer.level_sizes()]
     return itertools.product(*ranges)
-
-
-def count_max_paths(layer: Layer, *, method: str = "formula", cap: int = DEFAULT_VOLUME_CAP) -> int:
-    """Number of maximal paths; `stream` actually enumerates them."""
-    if method == "formula":
-        return layer.volume()
-    if method == "stream":
-        return sum(1 for _ in iter_max_paths(layer, cap=cap))
-    raise ValueError(f"unknown method {method!r}")
 
 
 def point_to_path(layer: Layer, point) -> tuple[int, ...]:
@@ -145,9 +138,6 @@ class Block:
         for level in self.levels:
             out *= len(level)
         return out
-
-    def iter_paths(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(*self.levels)
 
     def level_cardinalities(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.levels)
@@ -282,11 +272,40 @@ def overlapping_pairs(blocks) -> Iterator[tuple[int, int]]:
     """Index pairs (i, j), i < j, of blocks that share a maximal path, in
     order; read off `overlap_masks`."""
     for i, meet in enumerate(overlap_masks(blocks)):
-        meet >>= i + 1
-        while meet:
-            low = meet & -meet
-            yield i, i + low.bit_length()
-            meet ^= low
+        for j in bits(meet >> i + 1):
+            yield i, i + 1 + j
+
+
+def path_masks(layer: Layer, blocks) -> list[int]:
+    """For each block, the bitmask of its maximal paths: bit r is the r-th
+    path of `iter_max_paths(layer)`.
+
+    Path (v_k, ..., v_n) has the mixed-radix index sum (v_s - 1) * stride_s,
+    where stride_s is the product of the level sizes above s, so a block's
+    mask is built from the top level down, one shifted copy of the mask so
+    far per vertex.  Every vertex must lie on its level of the layer; the
+    caller bounds the volume.
+    """
+    sizes = layer.level_sizes()[::-1]
+    masks = []
+    for block in blocks:
+        mask, stride = 1, 1
+        for level, size in zip(block.levels[::-1], sizes):
+            shifted = 0
+            for v in level:
+                shifted |= mask << (v - 1) * stride
+            mask = shifted
+            stride *= size
+        masks.append(mask)
+    return masks
+
+
+def bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _cardinality_vectors(layer: Layer, family: ShapeFamily) -> list[tuple[tuple[int, ...], int]]:

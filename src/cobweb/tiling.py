@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterator, Optional
 
-from .errors import CapExceeded, LambdaRuleError, TilingFormatError
+from .errors import CapExceeded, SearchBudgetExceeded, TilingFormatError
 from .fsequence import (
     FSequence,
     composition,
@@ -51,11 +51,13 @@ from .geometry import (
     MultiShape,
     PlainShape,
     ShapeFamily,
+    bits,
     block_family,
     block_from_json,
     build_layer,
     canonical_sigma,
     overlapping_pairs,
+    path_masks,
     shape_values,
 )
 
@@ -384,19 +386,14 @@ def verify_tiling(tiling: Tiling, *, volume_cap: int = DEFAULT_VOLUME_CAP) -> Ve
         )
 
     if layer.volume() <= volume_cap:
-        index_of = {}
-        for idx, path in enumerate(itertools.product(*[range(1, s + 1) for s in sizes])):
-            index_of[path] = idx
+        on_layer = [block for block in tiling.blocks if _on_layer(block, sizes)]
         covered = 0
         overlap = False
-        for block in tiling.blocks:
-            if not _on_layer(block, sizes):
-                continue
-            for path in block.iter_paths():
-                bit = 1 << index_of[path]
-                if covered & bit:
-                    overlap = True
-                covered |= bit
+        for block, mask in zip(on_layer, path_masks(layer, on_layer)):
+            # a level that repeats a vertex counts some of its paths twice
+            if covered & mask or mask.bit_count() != block.path_count():
+                overlap = True
+            covered |= mask
         if overlap:
             violations.append("explicit path sets overlap")
         if covered != (1 << layer.volume()) - 1:
@@ -440,18 +437,13 @@ def count_construction_tilings(F: FSequence, k: int, n: int) -> int:
         if lo == hi or lo == 1:
             return 1
         m = hi - lo + 1
+        # lambda_split checks that the batch sizes sum to hi_F, so this
+        # quotient is a multinomial coefficient
         lam = lambda_split(F, lo - 1, m)
-        if lam.lambda_m * term(F, m) + lam.lambda_k * term(F, lo - 1) != term(F, hi):
-            raise LambdaRuleError(
-                f"{F.spec_string()}: batch sizes do not exhaust level {hi}"
-            )
-        ways, rem = divmod(
-            factorial(term(F, hi)),
+        ways = factorial(term(F, hi)) // (
             factorial(term(F, m)) ** lam.lambda_m
-            * factorial(term(F, lo - 1)) ** lam.lambda_k,
+            * factorial(term(F, lo - 1)) ** lam.lambda_k
         )
-        if rem:
-            raise LambdaRuleError(f"{F.spec_string()}: multinomial not exact at {hi}")
         return ways * count(lo, hi - 1) ** lam.lambda_m * count(lo - 1, hi - 1) ** lam.lambda_k
 
     return count(k, n)
@@ -486,50 +478,32 @@ def enumerate_all_tilings(
 ) -> TilingSearchResult:
     """Every tiling of the layer by blocks of the family, by brute force.
 
-    Backtracking exact cover over the deduplicated block family, always
-    branching on the lexicographically least uncovered path.  Collects at
-    most `limit` tilings but keeps counting; stops early (complete=False)
-    only when the node budget runs out.
+    Backtracking exact cover over the deduplicated block family, on the
+    path masks of `geometry.path_masks`, always branching on the
+    lexicographically least uncovered path.  Collects at most `limit`
+    tilings but keeps counting; stops early (complete=False) only when the
+    node budget runs out.
     """
-    if layer.volume() > volume_cap:
-        raise CapExceeded(f"volume {layer.volume()} exceeds cap {volume_cap}")
+    volume = layer.volume()
+    if volume > volume_cap:
+        raise CapExceeded(f"volume {volume} exceeds cap {volume_cap}")
     blocks = block_family(layer, family, block_cap=block_cap).blocks
-
-    sizes = layer.level_sizes()
-    index_of = {
-        path: idx
-        for idx, path in enumerate(itertools.product(*[range(1, s + 1) for s in sizes]))
-    }
-    volume = len(index_of)
     full = (1 << volume) - 1
-
-    masks = []
-    for block in blocks:
-        mask = 0
-        for path in block.iter_paths():
-            mask |= 1 << index_of[path]
-        masks.append(mask)
+    masks = path_masks(layer, blocks)
     by_path: list[list[int]] = [[] for _ in range(volume)]
     for b_idx, mask in enumerate(masks):
-        probe = mask
-        while probe:
-            low = probe & -probe
-            by_path[low.bit_length() - 1].append(b_idx)
-            probe ^= low
+        for path in bits(mask):
+            by_path[path].append(b_idx)
 
     found: list[tuple[int, ...]] = []
     total = 0
     nodes = 0
-    complete = True
 
     def search(covered: int, chosen: list[int]) -> None:
-        nonlocal total, nodes, complete
-        if not complete:
-            return
+        nonlocal total, nodes
         nodes += 1
         if nodes > node_budget:
-            complete = False
-            return
+            raise SearchBudgetExceeded(f"exact cover exceeded {node_budget} nodes")
         if covered == full:
             total += 1
             if len(found) < limit:
@@ -538,15 +512,17 @@ def enumerate_all_tilings(
         lowest = (~covered & full)
         lowest = (lowest & -lowest).bit_length() - 1
         for b_idx in by_path[lowest]:
-            if not complete:
-                return
             if masks[b_idx] & covered:
                 continue
             chosen.append(b_idx)
             search(covered | masks[b_idx], chosen)
             chosen.pop()
 
-    search(0, [])
+    try:
+        search(0, [])
+        complete = True
+    except SearchBudgetExceeded:
+        complete = False
     tilings = tuple(
         Tiling(layer, _sorted_blocks(blocks[i] for i in pick), family, "exhaustive")
         for pick in found
@@ -559,20 +535,25 @@ def enumerate_all_tilings(
 # ---------------------------------------------------------------------------
 
 def tiling_from_json(obj) -> Tiling:
-    """Rebuild a tiling from its JSON object; the shape kind is inferred
-    from the blocks' level cardinalities.  A missing field, or one of the
-    wrong type, raises TilingFormatError."""
+    """Rebuild a tiling from its JSON object, blocks in file order.
+
+    The shape kind is inferred from block 0's level cardinalities: multi
+    when the layer starts at 1 and they fit a composition other than (m),
+    plain otherwise.  A missing field, or one of the wrong type, raises
+    TilingFormatError."""
     _check_tiling_json(obj)
     F = parse_family_spec(obj["family"])
     k, n = obj["span"]
     layer = build_layer(F, k, n)
-    blocks = _sorted_blocks(block_from_json(b) for b in obj["blocks"])
+    blocks = tuple(block_from_json(b) for b in obj["blocks"])
 
     kind: ShapeFamily = PlainShape(layer.m)
-    if blocks:
+    if blocks and k == 1:
         cards = sorted(blocks[0].level_cardinalities())
-        if cards != sorted(shape_values(layer, kind)) and k == 1:
-            kind = MultiShape(_parts_from_cardinalities(F, n, cards))
+        if cards != sorted(shape_values(layer, kind)):
+            parts = _parts_from_cardinalities(F, n, cards)
+            if parts is not None:
+                kind = MultiShape(parts)
     return Tiling(layer, blocks, kind, obj.get("provenance", ""))
 
 
@@ -600,8 +581,9 @@ def _check_tiling_json(obj) -> None:
         need(_ints(block.get("sigma")), f'block {i}: "sigma" must be a list of integers')
 
 
-def _parts_from_cardinalities(F: FSequence, n: int, cards: list[int]) -> tuple[int, ...]:
-    """A composition whose base vector has these term values as a multiset.
+def _parts_from_cardinalities(F: FSequence, n: int, cards: list[int]) -> Optional[tuple[int, ...]]:
+    """A composition whose base vector has these term values as a multiset,
+    or None if there is none.
 
     Part b contributes term(1..b), so this searches the partitions of
     len(cards) into parts of at most n, largest parts first, remembering
@@ -625,7 +607,4 @@ def _parts_from_cardinalities(F: FSequence, n: int, cards: list[int]) -> tuple[i
             failed.add(state)
         return None
 
-    parts = search(Counter(cards), top)
-    if parts is None:
-        raise ValueError(f"cardinalities {cards} match no composition")
-    return composition(parts)
+    return search(Counter(cards), top) or None

@@ -156,6 +156,16 @@ class TestCliqueSearch:
         with pytest.raises(ValueError):
             enumerate_size_d_cliques(graph, -1)
 
+    @pytest.mark.parametrize("budget", [1, 10])
+    def test_maximal_clique_budget_stop_keeps_a_prefix(self, budget):
+        graph = build_block_graph(build_layer(Natural(), 3, 4))
+        whole = enumerate_maximal_cliques(graph)
+        cut = enumerate_maximal_cliques(graph, node_budget=budget)
+        assert whole.complete
+        assert not cut.complete
+        assert cut.nodes == budget + 1
+        assert cut.cliques == whole.cliques[:len(cut.cliques)]
+
     def test_maximal_clique_enumeration_small(self):
         graph = build_block_graph(build_layer(Natural(), 4, 4))
         res = enumerate_maximal_cliques(graph)

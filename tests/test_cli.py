@@ -145,6 +145,43 @@ class TestTileVerifyRender:
         assert rc == 1
         assert err == "error: vertex 9 of level 2 is not on the layer\n"
 
+    @pytest.mark.parametrize("span", [[1, 2], [2, 3]], ids=["1-2", "2-3"])
+    def test_cardinalities_fitting_no_composition_fail_verify(self, capsys, tmp_path, span):
+        # natural <1->2> reads the block as a plain shape, as <2->3> does
+        out_file = tmp_path / "t.json"
+        out_file.write_text(json.dumps({"family": "natural", "span": span, "blocks": [
+            {"span": span, "levels": [[1], [1, 2, 3]], "sigma": [1, 2]}]}))
+        rc, out, err = run(capsys, "verify", str(out_file))
+        assert rc == 1
+        assert "violation: block 0: cardinalities (1, 3) do not realise the shape" in out
+        assert err == ""
+
+    @pytest.mark.parametrize("argv, blocks", [
+        (("tile", "natural", "3", "5"), 10),
+        (("multitile", "natural", "4", "2,2"), 6),
+    ], ids=["tile", "multitile"])
+    def test_construction_over_cap_refused(self, capsys, tmp_path, argv, blocks):
+        out_file = tmp_path / "t.json"
+        rc, out, err = run(capsys, *argv, "--cap-vertices", str(blocks - 1),
+                           "--out", str(out_file))
+        assert rc == 1 and out == ""
+        assert err == f"error: tiling has {blocks} blocks, over the cap {blocks - 1}\n"
+        assert not out_file.exists()
+        rc, out, _ = run(capsys, *argv, "--cap-vertices", str(blocks))
+        assert rc == 0
+        assert f"{blocks} blocks, valid=True" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (("tile", "natural", "3", "2"), "layer needs 1 <= k <= n, got (3, 2)"),
+        (("tile", "table:[1,2,3]", "2", "5"), "index 4 outside table of length 3"),
+        (("multitile", "natural", "4", "2,3"), "composition (2, 3) does not sum to 4"),
+        (("multitile", "natural", "4", "0,4"), "composition parts must be >= 1, got (0, 4)"),
+    ], ids=["bad-span", "short-table", "parts-sum", "zero-part"])
+    def test_cap_keeps_input_errors(self, capsys, argv, message):
+        rc, _, err = run(capsys, *argv, "--cap-vertices", "0")
+        assert rc == 1
+        assert err == f"error: {message}\n"
+
     def test_multitile(self, capsys, tmp_path):
         out_file = tmp_path / "m.json"
         rc, out, _ = run(capsys, "multitile", "natural", "4", "2,2",

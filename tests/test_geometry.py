@@ -15,7 +15,6 @@ from cobweb import (
     block_family,
     blocks_disjoint,
     build_layer,
-    count_max_paths,
     iter_max_paths,
     make_block,
     point_to_path,
@@ -62,12 +61,12 @@ class TestVolume:
                     layer = build_layer(F, k, n)
                     if layer.volume() > 5000:
                         continue
-                    assert count_max_paths(layer, method="stream") == layer.volume()
+                    assert sum(1 for _ in iter_max_paths(layer)) == layer.volume()
 
     def test_stream_refuses_over_cap(self):
         layer = build_layer(Natural(), 1, 8)
         with pytest.raises(CapExceeded):
-            count_max_paths(layer, method="stream", cap=100)
+            iter_max_paths(layer, cap=100)
 
 
 class TestPointPathBijection:
@@ -147,7 +146,8 @@ class TestDisjointness:
         layer = build_layer(Natural(), 2, 4)
         blocks = block_family(layer, PlainShape(3)).blocks
         for a, b in itertools.combinations(blocks[:40], 2):
-            explicit = not (set(a.iter_paths()) & set(b.iter_paths()))
+            explicit = not (set(itertools.product(*a.levels))
+                            & set(itertools.product(*b.levels)))
             assert blocks_disjoint(a, b) == explicit
 
     def test_incidence_index_equals_pairwise(self):
@@ -188,6 +188,25 @@ class TestDisjointness:
                 if j != i and not blocks_disjoint(a, b)
             )
             assert masks[i] == expect, i
+
+    @pytest.mark.parametrize("F, k, n", [
+        (Natural(), 2, 4),
+        (Fp(1), 3, 5),
+        (CustomTable((1, 2, 2, 1, 4, 3)), 4, 6),
+    ])
+    def test_path_masks_equal_path_index(self, F, k, n):
+        # bit r of a block's mask is set exactly when the r-th path of
+        # iter_max_paths lies in the block's product of level subsets
+        from cobweb.geometry import path_masks
+
+        layer = build_layer(F, k, n)
+        blocks = block_family(layer, PlainShape(layer.m)).blocks
+        index_of = {path: r for r, path in enumerate(iter_max_paths(layer))}
+        expect = [
+            sum(1 << index_of[path] for path in itertools.product(*block.levels))
+            for block in blocks
+        ]
+        assert path_masks(layer, blocks) == expect
 
 
 class TestEnumerateBlocks:

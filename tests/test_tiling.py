@@ -246,6 +246,16 @@ class TestVerify:
         assert not report.valid
         assert "block 0: level 4 repeats a vertex" in report.violations
 
+    def test_repeated_vertex_counts_its_paths_twice(self):
+        # the top level (1, 1) holds each of the block's paths twice; the
+        # explicit cover reports that as it reports a duplicated block
+        tiling = construct_tiling(Natural(), 3, 4)
+        first = tiling.blocks[0]
+        bad = Tiling(tiling.layer,
+                     (Block(first.span, first.levels[:-1] + ((1, 1),), first.sigma),)
+                     + tiling.blocks[1:], tiling.kind, "tampered")
+        assert "explicit path sets overlap" in verify_tiling(bad).violations
+
     @pytest.mark.parametrize("cap", [5000, 0])
     def test_level_count_mismatch_reported(self, cap):
         # a one-level block on fp:p=1 <1->2>, and a three-level block with
@@ -370,6 +380,19 @@ class TestExhaustiveOracle:
         with pytest.raises(CapExceeded):
             enumerate_all_tilings(layer, PlainShape(8))
 
+    @pytest.mark.parametrize("budget", [1, 10])
+    def test_budget_stop_keeps_a_prefix(self, budget):
+        # the search stops at the first node over the budget, and what it
+        # collected is the start of the complete run's list
+        layer = build_layer(Natural(), 3, 4)
+        whole = enumerate_all_tilings(layer, PlainShape(2))
+        cut = enumerate_all_tilings(layer, PlainShape(2), node_budget=budget)
+        assert whole.complete and whole.total == 132
+        assert not cut.complete
+        assert cut.nodes == budget + 1
+        assert cut.tilings == whole.tilings[:len(cut.tilings)]
+        assert cut.total == len(cut.tilings)
+
 
 class TestTilingJson:
     def test_round_trip_plain(self):
@@ -397,6 +420,18 @@ class TestTilingJson:
         ]})
         assert tiling.kind == MultiShape((2, 2))
         assert verify_tiling(tiling).valid
+
+    def test_blocks_keep_file_order(self):
+        # violations name blocks by their position in the file
+        obj = construct_tiling(Natural(), 3, 4).to_json_obj()
+        obj["blocks"].reverse()
+        obj["blocks"][0]["levels"][-1][-1] = 9
+        tiling = tiling_from_json(obj)
+        assert [list(map(list, b.levels)) for b in tiling.blocks] == [
+            b["levels"] for b in obj["blocks"]]
+        report = verify_tiling(tiling)
+        assert "block 0: level 4 outside layer" in report.violations
+        assert not any(v.startswith("block 5") for v in report.violations)
 
     @pytest.mark.parametrize("F", [Fp(1), Natural(), TABLE_B],
                              ids=lambda F: F.spec_string())
