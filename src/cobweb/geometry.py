@@ -187,29 +187,53 @@ def shape_values(layer: Layer, shape: ShapeFamily) -> tuple[int, ...]:
 
 
 def make_block(layer: Layer, shape: ShapeFamily, subsets) -> Block:
-    """Validate subsets against the layer and the shape, and build the block."""
-    subsets = tuple(tuple(sorted(set(level))) for level in subsets)
-    if len(subsets) != layer.m:
-        raise ValueError(f"need {layer.m} level subsets, got {len(subsets)}")
+    """Build the block after raising ValueError on the first defect of
+    `block_defects`; a concrete sigma must also fit position by position."""
     values = shape_values(layer, shape)
-    order = shape.sigma or tuple(range(1, len(values) + 1))
-    if sorted(order) != list(range(1, len(values) + 1)):
-        raise ValueError(f"sigma {order} is not a permutation of 1..{len(values)}")
-    wanted = tuple(values[s - 1] for s in order)
-    for i, (subset, want) in enumerate(zip(subsets, wanted)):
-        s = layer.k + i
-        if not subset:
-            raise ValueError(f"level {s} subset is empty")
-        if subset[0] < 1 or subset[-1] > layer.level_size(s):
-            raise ValueError(f"level {s} subset {subset} outside 1..{layer.level_size(s)}")
-        if len(subset) != want:
-            raise ValueError(
-                f"level {s} subset has {len(subset)} vertices, shape wants {want}"
-            )
+    block = Block((layer.k, layer.n), tuple(tuple(sorted(level)) for level in subsets), ())
+    for _, defect, _ in block_defects(layer, values, (block,)):
+        raise ValueError(defect)
+    cards = block.level_cardinalities()
     sigma = shape.sigma
     if sigma is None:
-        sigma = canonical_sigma(values, tuple(len(s) for s in subsets))
-    return Block((layer.k, layer.n), subsets, sigma)
+        sigma = canonical_sigma(values, cards)
+    elif (sorted(sigma) != list(range(1, len(values) + 1))
+          or cards != tuple(values[s - 1] for s in sigma)):
+        raise ValueError(f"sigma {sigma} does not orient {values} as {cards}")
+    return Block(block.span, block.levels, sigma)
+
+
+def block_defects(layer: Layer, values: tuple[int, ...], blocks) -> Iterator[tuple[int, str, bool]]:
+    """(block index, phrase, on_layer) for each defect, in one pass: a
+    block holds a nonempty vertex set on each layer level, sized by a
+    permutation of `values`.  A span or level-count mismatch is a block's
+    only phrase; on_layer is False for those and for a vertex off its level."""
+    span = (layer.k, layer.n)
+    sizes = layer.level_sizes()
+    wanted = sorted(values)
+    sound: list[set] = [set() for _ in sizes]  # defect-free level subsets per level
+    for i, block in enumerate(blocks):
+        if block.span != span:
+            yield i, f"span {block.span} mismatches layer", False
+            continue
+        if len(block.levels) != layer.m:
+            yield i, f"{len(block.levels)} levels, layer has {layer.m}", False
+            continue
+        for s, level, size, seen in zip(itertools.count(layer.k), block.levels, sizes, sound):
+            if level in seen:  # blocks often share a level subset
+                continue
+            distinct = len(set(level)) == len(level)
+            if not level:
+                yield i, f"level {s} empty", True
+            elif min(level) < 1 or max(level) > size:
+                yield i, f"level {s} outside layer", False
+            elif distinct:
+                seen.add(level)
+            if not distinct:
+                yield i, f"level {s} repeats a vertex", True
+        cards = block.level_cardinalities()
+        if sorted(cards) != wanted:
+            yield i, f"cardinalities {cards} do not realise the shape", True
 
 
 def blocks_disjoint(a: Block, b: Block) -> bool:

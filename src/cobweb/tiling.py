@@ -52,6 +52,7 @@ from .geometry import (
     PlainShape,
     ShapeFamily,
     bits,
+    block_defects,
     block_family,
     block_from_json,
     build_layer,
@@ -236,11 +237,20 @@ def _plain_options(
             yield [blk for sub in combo for blk in sub]
 
 
+def _construction_layer(F: FSequence, k: int, n: int) -> Layer:
+    """The layer <k -> n>, refused if it is one level not split by 1_F."""
+    layer = build_layer(F, k, n)
+    if k == n and term(F, n) % term(F, 1):
+        raise ValueError(f"level {n} has {term(F, n)} vertices, not a multiple of "
+                         f"1_F = {term(F, 1)}, so the layer has no tiling")
+    return layer
+
+
 def construct_tiling(
     F: FSequence, k: int, n: int, strategy: Optional[ChoiceStrategy] = None
 ) -> Tiling:
     """Build one tiling of <k -> n> by the recursive construction."""
-    layer = build_layer(F, k, n)
+    layer = _construction_layer(F, k, n)
     chooser = _construction_chooser(strategy)
     levels = tuple((s, _full_level(F, s)) for s in range(k, n + 1))
     first = next(_plain_options(F, levels, k, n, chooser))
@@ -251,7 +261,7 @@ def construct_tiling(
 
 def enumerate_construction_tilings(F: FSequence, k: int, n: int) -> Iterator[Tiling]:
     """One tiling per exhaustive choice sequence, repeats included."""
-    layer = build_layer(F, k, n)
+    layer = _construction_layer(F, k, n)
     shape = PlainShape(layer.m)
     levels = tuple((s, _full_level(F, s)) for s in range(k, n + 1))
     for option in _plain_options(F, levels, k, n, Exhaustive()):
@@ -332,17 +342,13 @@ class VerificationReport:
 
 
 def verify_tiling(tiling: Tiling, *, volume_cap: int = DEFAULT_VOLUME_CAP) -> VerificationReport:
-    """Check shapes, disjointness, path-count total, and (when the volume
-    is small enough) the explicit path cover.
+    """Check block forms, disjointness, the path-count total, and (when the
+    volume is small enough) the explicit path cover.
 
-    Disjointness comes from the level-incidence index of
-    `geometry.overlapping_pairs`: every pair of blocks that meet on each
-    level is reported as sharing a maximal path.  A block whose span
-    mismatches the layer is compared with the others over the levels
-    both have, counted from the bottom.  Blocks with a vertex off their
-    level are reported and left out of the explicit path cover.  A level
-    that lists a vertex twice is reported, because the path count counts
-    the repeat, and so is a block whose level count is not the layer's.
+    Each defect of `geometry.block_defects` is reported as `block i: ...`;
+    the path total and the explicit cover take only the blocks on the layer.
+    Blocks that meet on each level (`geometry.overlapping_pairs`) share a
+    maximal path; a block of another span is compared from the bottom.
     """
     layer = tiling.layer
     violations: list[str] = []
@@ -352,45 +358,23 @@ def verify_tiling(tiling: Tiling, *, volume_cap: int = DEFAULT_VOLUME_CAP) -> Ve
         kind = PlainShape(layer.m)  # the layer's profile, whatever kind.m says
     elif layer.k != 1:
         violations.append("multi tiling on a layer not starting at level 1")
-    wanted = sorted(term(layer.F, v) for v in kind.base_vector())
-    sizes = layer.level_sizes()
-    for b_idx, block in enumerate(tiling.blocks):
-        if block.span != (layer.k, layer.n):
-            violations.append(f"block {b_idx}: span {block.span} mismatches layer")
-            continue
-        if len(block.levels) != layer.m:
-            violations.append(
-                f"block {b_idx}: {len(block.levels)} levels, layer has {layer.m}"
-            )
-            continue
-        for s, level, size in zip(range(layer.k, layer.n + 1), block.levels, sizes):
-            if not level:
-                violations.append(f"block {b_idx}: level {s} empty")
-            elif level[0] < 1 or level[-1] > size:
-                violations.append(f"block {b_idx}: level {s} outside layer")
-            if len(level) > 1 and len(set(level)) != len(level):
-                violations.append(f"block {b_idx}: level {s} repeats a vertex")
-        if sorted(block.level_cardinalities()) != wanted:
-            violations.append(
-                f"block {b_idx}: cardinalities {block.level_cardinalities()} "
-                f"do not realise the shape"
-            )
+    values = tuple(term(layer.F, v) for v in kind.base_vector())
+    defects = list(block_defects(layer, values, tiling.blocks))
+    violations += [f"block {i}: {defect}" for i, defect, _ in defects]
+    off_layer = {i for i, _, on_layer in defects if not on_layer}
+    blocks = [block for i, block in enumerate(tiling.blocks) if i not in off_layer]
 
     for i, j in overlapping_pairs(tiling.blocks):
         violations.append(f"blocks {i} and {j} share a maximal path")
 
-    total_paths = sum(block.path_count() for block in tiling.blocks)
+    total_paths = sum(block.path_count() for block in blocks)
     if total_paths != layer.volume():
-        violations.append(
-            f"blocks cover {total_paths} paths, layer has {layer.volume()}"
-        )
+        violations.append(f"blocks cover {total_paths} paths, layer has {layer.volume()}")
 
     if layer.volume() <= volume_cap:
-        on_layer = [block for block in tiling.blocks if _on_layer(block, sizes)]
         covered = 0
         overlap = False
-        for block, mask in zip(on_layer, path_masks(layer, on_layer)):
-            # a level that repeats a vertex counts some of its paths twice
+        for block, mask in zip(blocks, path_masks(layer, blocks)):
             if covered & mask or mask.bit_count() != block.path_count():
                 overlap = True
             covered |= mask
@@ -400,13 +384,6 @@ def verify_tiling(tiling: Tiling, *, volume_cap: int = DEFAULT_VOLUME_CAP) -> Ve
             violations.append("explicit path sets do not cover the layer")
 
     return VerificationReport(not violations, tuple(sorted(set(violations))))
-
-
-def _on_layer(block: Block, sizes: tuple[int, ...]) -> bool:
-    """Whether every path of the block is a maximal path of the layer."""
-    return len(block.levels) == len(sizes) and all(
-        1 <= v <= size for level, size in zip(block.levels, sizes) for v in level
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +406,7 @@ def count_construction_tilings(F: FSequence, k: int, n: int) -> int:
     repeated terms distinct choices can assemble identical tilings, so
     the number of distinct tilings can be strictly smaller.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got ({k}, {n})")
+    _construction_layer(F, k, n)
 
     @lru_cache(maxsize=None)
     def count(lo: int, hi: int) -> int:

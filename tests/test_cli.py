@@ -239,6 +239,19 @@ class TestCountTilings:
         assert data["count"] == 4 and data["complete"]
 
 
+    def test_single_level_not_split_by_one(self, capsys):
+        # table:[2,3] <2->2> has no tiling: the construction modes refuse it
+        # up front and the exact cover certifies that none exists
+        refusal = ("error: level 2 has 3 vertices, not a multiple of 1_F = 2, "
+                   "so the layer has no tiling\n")
+        layer = ("table:[2,3]", "2", "2")
+        assert run(capsys, "tile", *layer) == (1, "", refusal)
+        for mode in ("formula", "construction"):
+            assert run(capsys, "count-tilings", *layer, "--mode", mode) == (1, "", refusal)
+        assert run(capsys, "count-tilings", *layer, "--mode", "exhaustive") == (
+            0, "0 tilings (complete)\n", "")
+
+
 class TestGraph:
     def test_summary_and_dot(self, capsys, tmp_path):
         dot_file = tmp_path / "g.dot"

@@ -117,6 +117,18 @@ class TestMakeBlock:
         with pytest.raises(ValueError):
             make_block(layer, PlainShape(2, (1, 2)), [(4,), (2, 4)])
 
+    def test_no_sigma_takes_any_orientation(self):
+        # sigma=None is the whole family of orientations, so cardinalities
+        # (2, 1) are oriented by (2, 1), not refused against (1, 2)
+        block = make_block(build_layer(Natural(), 2, 3), PlainShape(2), [(1, 2), (3,)])
+        assert block.sigma == (2, 1)
+
+    @pytest.mark.parametrize("sigma", [(1, 2), (1, 1), (1, 2, 3)])
+    def test_concrete_sigma_must_fit_by_position(self, sigma):
+        layer = build_layer(Natural(), 2, 3)
+        with pytest.raises(ValueError, match="does not orient"):
+            make_block(layer, PlainShape(2, sigma), [(1, 2), (3,)])
+
 
 class TestDisjointness:
     def _block(self, layer, subsets):

@@ -25,6 +25,7 @@ from cobweb import (
     enumerate_all_tilings,
     enumerate_construction_tilings,
     fnomial,
+    make_block,
     multi_fnomial,
     term,
     tiling_from_json,
@@ -275,6 +276,57 @@ class TestVerify:
         assert "block 0: 3 levels, layer has 2" in report.violations
 
 
+    @pytest.mark.parametrize("shape, span, subsets, phrase, others", [
+        (PlainShape(2), (2, 3), [(1,)], "1 levels, layer has 2", ()),
+        (PlainShape(2), (2, 3), [(1,), (1, 2), (1,)], "3 levels, layer has 2", ()),
+        (PlainShape(2), (2, 3), [(), (1, 2)], "level 2 empty",
+         ("cardinalities (0, 2) do not realise the shape",)),
+        (PlainShape(2), (2, 3), [(3,), (1, 2)], "level 2 outside layer", ()),
+        (PlainShape(2), (2, 3), [(1,), (2, 2)], "level 3 repeats a vertex", ()),
+        (PlainShape(2), (2, 3), [(1, 2), (1, 2)],
+         "cardinalities (2, 2) do not realise the shape", ()),
+        (MultiShape((2, 2)), (1, 4), [(1,), (1, 2), (1, 2), (1, 2)],
+         "cardinalities (1, 2, 2, 2) do not realise the shape", ()),
+    ], ids=["short", "long", "empty", "outside", "repeat", "cardinalities", "multi"])
+    def test_make_block_raises_the_phrase_verify_reports(self, shape, span, subsets,
+                                                        phrase, others):
+        # one block check: make_block raises the first defect, verify_tiling
+        # reports each one for the block
+        layer = build_layer(Natural(), *span)
+        with pytest.raises(ValueError) as info:
+            make_block(layer, shape, subsets)
+        assert str(info.value) == phrase
+        block = Block(span, tuple(tuple(sorted(level)) for level in subsets), ())
+        report = verify_tiling(Tiling(layer, (block,), shape, "tampered"))
+        lines = [v.removeprefix("block 0: ") for v in report.violations
+                 if v.startswith("block 0: ")]
+        assert sorted(lines) == sorted((phrase,) + others)
+
+    @pytest.mark.parametrize("cap", [5000, 0])
+    def test_block_without_levels_covers_no_path(self, cap):
+        # the empty product is 1, but a block off the layer covers nothing
+        tiling = tiling_from_json({"family": "natural", "span": [1, 2], "blocks": [
+            {"span": [1, 2], "levels": [], "sigma": []}]})
+        report = verify_tiling(tiling, volume_cap=cap)
+        assert "block 0: 0 levels, layer has 2" in report.violations
+        assert "blocks cover 0 paths, layer has 2" in report.violations
+        assert "blocks cover 1 paths, layer has 2" not in report.violations
+
+    @pytest.mark.parametrize("cap", [5000, 0])
+    def test_off_layer_blocks_leave_the_path_total(self, cap):
+        # a re-spanned and a vertex-off-level copy of block 0 are reported
+        # for their defect, not as extra covered paths
+        tiling = construct_tiling(Natural(), 2, 3)
+        first = tiling.blocks[0]
+        for extra in (Block((2, 4), first.levels, first.sigma),
+                      Block(first.span, first.levels[:-1] + ((9,) * len(first.levels[-1]),),
+                            first.sigma)):
+            bad = Tiling(tiling.layer, tiling.blocks + (extra,), tiling.kind, "tampered")
+            report = verify_tiling(bad, volume_cap=cap)
+            assert not report.valid
+            assert not any(v.startswith("blocks cover") for v in report.violations)
+
+
 class TestConstructionCount:
     def test_bases(self):
         for F in lambda_families():
@@ -294,6 +346,19 @@ class TestConstructionCount:
         for F, k, n in cases:
             census = construction_census(F, k, n, limit=50_000)
             assert census.sequences == count_construction_tilings(F, k, n)
+
+    def test_single_level_not_split_by_one_is_refused(self):
+        # table:[2,3] <2->2>: three vertices are no groups of 1_F = 2, so
+        # the layer has no tiling, as the exact cover certifies
+        F = CustomTable((2, 3))
+        for build in (construct_tiling, construction_census, count_construction_tilings,
+                      lambda *a: list(enumerate_construction_tilings(*a))):
+            with pytest.raises(ValueError) as info:
+                build(F, 2, 2)
+            assert str(info.value) == (
+                "level 2 has 3 vertices, not a multiple of 1_F = 2, so the layer has no tiling")
+        result = enumerate_all_tilings(build_layer(F, 2, 2), PlainShape(1))
+        assert result.total == 0 and result.complete
 
     def test_census_cap(self):
         with pytest.raises(CapExceeded):
