@@ -76,6 +76,8 @@ def cmd_seq(args) -> int:
 
 def cmd_coeff(args) -> int:
     F = parse_family_spec(args.family)
+    if args.check_recurrence and not 1 <= args.k <= args.n - 1:
+        raise CobwebError(f"--check-recurrence needs 1 <= k <= n-1, got k={args.k}, n={args.n}")
     value = fnomial(F, args.n, args.k)
     lines = [str(value)]
     payload = {"family": F.spec_string(), "n": args.n, "k": args.k, "value": value}

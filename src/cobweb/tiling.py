@@ -429,18 +429,25 @@ def count_construction_tilings(F: FSequence, k: int, n: int) -> int:
 # Exhaustive tiling enumeration (exact cover oracle)
 # ---------------------------------------------------------------------------
 
+# Most covered-set counts the counting phase of `enumerate_all_tilings`
+# stores.  Past it lookups go on but nothing is added, so counts stay exact.
+MEMO_CAP = 1 << 20
+
+
 @dataclass(frozen=True)
 class TilingSearchResult:
     """Outcome of the exact-cover search.
 
     `complete` means the whole search space was traversed: the total is
-    exact, and total == 0 certifies that no tiling exists.
+    exact, and total == 0 certifies that no tiling exists.  `states` is
+    the number of subtree counts the counting phase memoised.
     """
 
     tilings: tuple[Tiling, ...]
     total: int
     complete: bool
     nodes: int
+    states: int = 0
 
 
 def enumerate_all_tilings(
@@ -452,13 +459,25 @@ def enumerate_all_tilings(
     volume_cap: int = DEFAULT_VOLUME_CAP,
     block_cap: int = DEFAULT_BLOCK_CAP,
 ) -> TilingSearchResult:
-    """Every tiling of the layer by blocks of the family, by brute force.
+    """Every tiling of the layer by blocks of the family, by exact cover.
 
-    Backtracking exact cover over the deduplicated block family, on the
-    path masks of `geometry.path_masks`, always branching on the
-    lexicographically least uncovered path.  Collects at most `limit`
-    tilings but keeps counting; stops early (complete=False) only when the
-    node budget runs out.
+    Backtracking over the deduplicated block family on the path masks of
+    `geometry.path_masks` (not the block graph's overlap index, so this
+    oracle stays independent of the clique search).  The search carries
+    the live blocks, those disjoint from the covered paths; taking a block
+    drops every block that shares a path with it.
+
+    While fewer than `limit` tilings are collected, it branches on the
+    lowest uncovered path, so the collected tilings are the first `limit`
+    in that order.  Every later subtree (every subtree when `limit=0`) is
+    only counted: that search branches on the uncovered path with the
+    fewest live blocks and memoises each finished subtree's count on its
+    covered bitmap, which fixes the live set.  The memo stops growing at
+    MEMO_CAP entries; lookups go on, so the count stays exact.
+
+    Every call is a node, memo hits included, and the search stops
+    (complete=False) at the first node over `node_budget`.  The total then
+    counts the tilings of every finished subtree, a lower bound.
     """
     volume = layer.volume()
     if volume > volume_cap:
@@ -466,36 +485,77 @@ def enumerate_all_tilings(
     blocks = block_family(layer, family, block_cap=block_cap).blocks
     full = (1 << volume) - 1
     masks = path_masks(layer, blocks)
-    by_path: list[list[int]] = [[] for _ in range(volume)]
+    # the blocks through each path, set in byte rows so that the build
+    # stays linear in the block-path incidences
+    rows = [bytearray((len(masks) + 7) // 8) for _ in range(volume)]
     for b_idx, mask in enumerate(masks):
         for path in bits(mask):
-            by_path[path].append(b_idx)
+            rows[path][b_idx >> 3] |= 1 << (b_idx & 7)
+    on_path = [int.from_bytes(row, "little") for row in rows]
+    clash = [0] * len(masks)  # the blocks sharing a path with each, built on first use
+
+    def keep(live: int, b_idx: int) -> int:
+        """The live blocks left after taking block b_idx."""
+        if not clash[b_idx]:
+            for path in bits(masks[b_idx]):
+                clash[b_idx] |= on_path[path]
+        return live & ~clash[b_idx]
 
     found: list[tuple[int, ...]] = []
+    memo: dict[int, int] = {}
     total = 0
     nodes = 0
 
-    def search(covered: int, chosen: list[int]) -> None:
-        nonlocal total, nodes
+    def node() -> None:
+        nonlocal nodes
         nodes += 1
         if nodes > node_budget:
             raise SearchBudgetExceeded(f"exact cover exceeded {node_budget} nodes")
+
+    def collect(covered: int, live: int, chosen: list[int]) -> None:
+        nonlocal total
+        if len(found) >= limit:
+            count(covered, live)
+            return
+        node()
         if covered == full:
             total += 1
-            if len(found) < limit:
-                found.append(tuple(chosen))
+            found.append(tuple(chosen))
             return
-        lowest = (~covered & full)
+        lowest = ~covered & full
         lowest = (lowest & -lowest).bit_length() - 1
-        for b_idx in by_path[lowest]:
-            if masks[b_idx] & covered:
-                continue
+        for b_idx in bits(on_path[lowest] & live):
             chosen.append(b_idx)
-            search(covered | masks[b_idx], chosen)
+            collect(covered | masks[b_idx], keep(live, b_idx), chosen)
             chosen.pop()
 
+    def count(covered: int, live: int) -> None:
+        nonlocal total
+        node()
+        if covered == full:
+            total += 1
+            return
+        known = memo.get(covered)
+        if known is not None:
+            total += known
+            return
+        before = total
+        branch, fewest = 0, len(masks) + 1
+        rest = ~covered & full
+        while rest and fewest > 1:
+            low = rest & -rest
+            options = on_path[low.bit_length() - 1] & live
+            size = options.bit_count()
+            if size < fewest:
+                branch, fewest = options, size
+            rest ^= low
+        for b_idx in bits(branch):
+            count(covered | masks[b_idx], keep(live, b_idx))
+        if len(memo) < MEMO_CAP:
+            memo[covered] = total - before
+
     try:
-        search(0, [])
+        collect(0, (1 << len(masks)) - 1, [])
         complete = True
     except SearchBudgetExceeded:
         complete = False
@@ -503,7 +563,7 @@ def enumerate_all_tilings(
         Tiling(layer, _sorted_blocks(blocks[i] for i in pick), family, "exhaustive")
         for pick in found
     )
-    return TilingSearchResult(tilings, total, complete, nodes)
+    return TilingSearchResult(tilings, total, complete, nodes, len(memo))
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,16 @@ class TestCoeff:
         assert value == fnomial(Fp(1), 300, 150)
         assert len(str(value)) > 4300
 
+    @pytest.mark.parametrize("k", ["7", "0", "9"])
+    def test_check_recurrence_refuses_k_outside_the_split(self, capsys, k):
+        # the recurrence splits n = k + (n - k) with both parts at least 1
+        rc, out, err = run(capsys, "coeff", "natural", "7", k, "--check-recurrence")
+        assert (rc, out) == (1, "")
+        assert err == f"error: --check-recurrence needs 1 <= k <= n-1, got k={k}, n=7\n"
+        rc, out, err = run(capsys, "coeff", "natural", "7", k)
+        assert (rc, err) == (0, "")
+        assert out == f"{fnomial(Natural(), 7, int(k))}\n"
+
     def test_multicoeff(self, capsys):
         rc, out, _ = run(capsys, "multicoeff", "natural", "4", "2,2")
         assert rc == 0 and out.strip() == "6"
@@ -238,6 +248,13 @@ class TestCountTilings:
         assert rc == 0
         assert data["count"] == 4 and data["complete"]
 
+    def test_exhaustive_completes_natural_three_five(self, capsys):
+        # 411168 tilings within the default node budget
+        rc, out, _ = run(capsys, "count-tilings", "natural", "3", "5",
+                         "--mode", "exhaustive", "--json")
+        data = json.loads(out)
+        assert rc == 0
+        assert data["count"] == 411168 and data["complete"] is True
 
     def test_single_level_not_split_by_one(self, capsys):
         # table:[2,3] <2->2> has no tiling: the construction modes refuse it

@@ -14,6 +14,7 @@ from cobweb import (
     Natural,
     PlainShape,
     MultiShape,
+    Powers,
     Seeded,
     Tiling,
     TilingFormatError,
@@ -31,7 +32,7 @@ from cobweb import (
     tiling_from_json,
     verify_tiling,
 )
-from cobweb.geometry import Block, blocks_disjoint
+from cobweb.geometry import Block, block_family, blocks_disjoint, path_masks
 from conftest import TABLE_B, compositions_of, lambda_families
 
 
@@ -55,6 +56,32 @@ def with_vertex(tiling, b_idx, pos, old, new):
     blocks = list(tiling.blocks)
     blocks[b_idx] = Block(block.span, levels, block.sigma)
     return Tiling(tiling.layer, tuple(blocks), tiling.kind, "tampered")
+
+
+def lowest_path_tilings(layer, keep):
+    """Reference exact cover: plain backtracking over `path_masks` that
+    branches on the lowest uncovered path, with no memo.  Returns the
+    total and the block tuples of the first `keep` tilings."""
+    blocks = block_family(layer, PlainShape(layer.m)).blocks
+    masks = path_masks(layer, blocks)
+    full = (1 << layer.volume()) - 1
+    first = []
+    total = 0
+
+    def search(covered, chosen):
+        nonlocal total
+        if covered == full:
+            total += 1
+            if len(first) < keep:
+                first.append(tuple(sorted((blocks[i] for i in chosen), key=lambda b: b.levels)))
+            return
+        lowest = (~covered & full & -(~covered & full)).bit_length() - 1
+        for i, mask in enumerate(masks):
+            if mask >> lowest & 1 and not mask & covered:
+                search(covered | mask, chosen + [i])
+
+    search(0, [])
+    return total, first
 
 
 class TestConstructTiling:
@@ -457,6 +484,32 @@ class TestExhaustiveOracle:
         assert cut.nodes == budget + 1
         assert cut.tilings == whole.tilings[:len(cut.tilings)]
         assert cut.total == len(cut.tilings)
+
+
+    @pytest.mark.parametrize("F,k,n", [
+        (Natural(), 2, 5), (Natural(), 4, 5), (Powers(2), 2, 3), (Fp(1), 2, 5),
+        (CustomTable((1, 2, 2, 1, 4, 3)), 4, 6),
+    ], ids=["natural-2-5", "natural-4-5", "powers-2-3", "fp1-2-5", "certificate"])
+    def test_agrees_with_lowest_path_reference(self, F, k, n):
+        # the counting phase's branching rule and memo give the reference's
+        # total, and the collected tilings are the reference's first ones
+        layer = build_layer(F, k, n)
+        total, first = lowest_path_tilings(layer, 7)
+        res = enumerate_all_tilings(layer, PlainShape(layer.m), limit=0)
+        assert res.complete and res.total == total
+        assert res.tilings == () and res.states > 0
+        for limit in (1, 7):
+            res = enumerate_all_tilings(layer, PlainShape(layer.m), limit=limit)
+            assert res.complete and res.total == total
+            assert [t.blocks for t in res.tilings] == first[:limit]
+
+    @pytest.mark.parametrize("budget", [1, 10])
+    def test_counting_budget_stop_keeps_a_lower_bound(self, budget):
+        layer = build_layer(Natural(), 3, 4)
+        cut = enumerate_all_tilings(layer, PlainShape(2), limit=0, node_budget=budget)
+        assert not cut.complete
+        assert cut.nodes == budget + 1
+        assert 0 <= cut.total <= 132
 
 
 class TestTilingJson:
