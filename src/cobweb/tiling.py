@@ -429,9 +429,19 @@ def count_construction_tilings(F: FSequence, k: int, n: int) -> int:
 # Exhaustive tiling enumeration (exact cover oracle)
 # ---------------------------------------------------------------------------
 
-# Most covered-set counts the counting phase of `enumerate_all_tilings`
-# stores.  Past it lookups go on but nothing is added, so counts stay exact.
-MEMO_CAP = 1 << 20
+# About the most bytes the memo of `enumerate_all_tilings` takes.  An entry
+# is counted as its key's volume bits plus 128 bytes of dict slot, key and
+# count objects (110 to 150 measured on CPython 3.11).  Past the budget
+# lookups go on but nothing is added, so counts stay exact.
+MEMO_BYTES = 1 << 26
+
+# `enumerate_all_tilings` looks for the path with the fewest live blocks
+# among the lowest uncovered paths only, as many as it can count in about
+# SCAN_WORDS 64-bit words of the live-block mask: every path up to about
+# a thousand blocks, 148 paths at 7008 blocks, 8 at 10^5 blocks.  Each
+# path looked at costs a pass over the mask, and on a large family a scan
+# of every path costs more per node than it saves.
+SCAN_WORDS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -440,7 +450,7 @@ class TilingSearchResult:
 
     `complete` means the whole search space was traversed: the total is
     exact, and total == 0 certifies that no tiling exists.  `states` is
-    the number of subtree counts the counting phase memoised.
+    the number of subtree counts the search memoised.
     """
 
     tilings: tuple[Tiling, ...]
@@ -465,15 +475,16 @@ def enumerate_all_tilings(
     `geometry.path_masks` (not the block graph's overlap index, so this
     oracle stays independent of the clique search).  The search carries
     the live blocks, those disjoint from the covered paths; taking a block
-    drops every block that shares a path with it.
+    drops every block that shares a path with it.  It always branches on
+    the uncovered path with the fewest live blocks (Knuth's Algorithm X
+    rule), looking at only as many of the lowest uncovered paths as
+    SCAN_WORDS allows and taking the lowest on a tie.
 
-    While fewer than `limit` tilings are collected, it branches on the
-    lowest uncovered path, so the collected tilings are the first `limit`
-    in that order.  Every later subtree (every subtree when `limit=0`) is
-    only counted: that search branches on the uncovered path with the
-    fewest live blocks and memoises each finished subtree's count on its
-    covered bitmap, which fixes the live set.  The memo stops growing at
-    MEMO_CAP entries; lookups go on, so the count stays exact.
+    Each finished subtree's count is memoised on its covered bitmap,
+    which fixes the live set.  The first `limit` tilings reached are
+    collected; the memo is read only once they are, since a hit skips a
+    subtree's tilings.  The memo stops growing at about MEMO_BYTES;
+    lookups go on, so the count stays exact.
 
     Every call is a node, memo hits included, and the search stops
     (complete=False) at the first node over `node_budget`.  The total then
@@ -492,57 +503,38 @@ def enumerate_all_tilings(
         for path in bits(mask):
             rows[path][b_idx >> 3] |= 1 << (b_idx & 7)
     on_path = [int.from_bytes(row, "little") for row in rows]
-    clash = [0] * len(masks)  # the blocks sharing a path with each, built on first use
-
-    def keep(live: int, b_idx: int) -> int:
-        """The live blocks left after taking block b_idx."""
-        if not clash[b_idx]:
-            for path in bits(masks[b_idx]):
-                clash[b_idx] |= on_path[path]
-        return live & ~clash[b_idx]
+    # per block, the complement of the blocks sharing a path with it,
+    # built the first time the block is taken (a complement is never 0)
+    keep = [0] * len(masks)
 
     found: list[tuple[int, ...]] = []
     memo: dict[int, int] = {}
+    room = MEMO_BYTES // (128 + volume // 8)
+    scan_paths = max(1, SCAN_WORDS // (len(masks) // 64 + 1))
     total = 0
     nodes = 0
 
-    def node() -> None:
-        nonlocal nodes
+    def search(covered: int, live: int, chosen: list[int]) -> None:
+        nonlocal total, nodes
         nodes += 1
         if nodes > node_budget:
             raise SearchBudgetExceeded(f"exact cover exceeded {node_budget} nodes")
-
-    def collect(covered: int, live: int, chosen: list[int]) -> None:
-        nonlocal total
+        if covered == full:
+            total += 1
+            if len(found) < limit:
+                found.append(tuple(chosen))
+            return
         if len(found) >= limit:
-            count(covered, live)
-            return
-        node()
-        if covered == full:
-            total += 1
-            found.append(tuple(chosen))
-            return
-        lowest = ~covered & full
-        lowest = (lowest & -lowest).bit_length() - 1
-        for b_idx in bits(on_path[lowest] & live):
-            chosen.append(b_idx)
-            collect(covered | masks[b_idx], keep(live, b_idx), chosen)
-            chosen.pop()
-
-    def count(covered: int, live: int) -> None:
-        nonlocal total
-        node()
-        if covered == full:
-            total += 1
-            return
-        known = memo.get(covered)
-        if known is not None:
-            total += known
-            return
+            known = memo.get(covered)
+            if known is not None:
+                total += known
+                return
         before = total
         branch, fewest = 0, len(masks) + 1
         rest = ~covered & full
-        while rest and fewest > 1:
+        scan = scan_paths
+        while rest and fewest > 1 and scan:
+            scan -= 1
             low = rest & -rest
             options = on_path[low.bit_length() - 1] & live
             size = options.bit_count()
@@ -550,12 +542,19 @@ def enumerate_all_tilings(
                 branch, fewest = options, size
             rest ^= low
         for b_idx in bits(branch):
-            count(covered | masks[b_idx], keep(live, b_idx))
-        if len(memo) < MEMO_CAP:
+            if not keep[b_idx]:
+                clash = 0
+                for path in bits(masks[b_idx]):
+                    clash |= on_path[path]
+                keep[b_idx] = ~clash
+            chosen.append(b_idx)
+            search(covered | masks[b_idx], live & keep[b_idx], chosen)
+            chosen.pop()
+        if len(memo) < room:
             memo[covered] = total - before
 
     try:
-        collect(0, (1 << len(masks)) - 1, [])
+        search(0, (1 << len(masks)) - 1, [])
         complete = True
     except SearchBudgetExceeded:
         complete = False

@@ -32,6 +32,7 @@ from cobweb import (
     tiling_from_json,
     verify_tiling,
 )
+from cobweb import tiling as tiling_module
 from cobweb.geometry import Block, block_family, blocks_disjoint, path_masks
 from conftest import TABLE_B, compositions_of, lambda_families
 
@@ -58,22 +59,18 @@ def with_vertex(tiling, b_idx, pos, old, new):
     return Tiling(tiling.layer, tuple(blocks), tiling.kind, "tampered")
 
 
-def lowest_path_tilings(layer, keep):
+def lowest_path_tilings(layer):
     """Reference exact cover: plain backtracking over `path_masks` that
     branches on the lowest uncovered path, with no memo.  Returns the
-    total and the block tuples of the first `keep` tilings."""
+    block tuples of every tiling, in the order `Tiling.blocks` keeps."""
     blocks = block_family(layer, PlainShape(layer.m)).blocks
     masks = path_masks(layer, blocks)
     full = (1 << layer.volume()) - 1
-    first = []
-    total = 0
+    every = []
 
     def search(covered, chosen):
-        nonlocal total
         if covered == full:
-            total += 1
-            if len(first) < keep:
-                first.append(tuple(sorted((blocks[i] for i in chosen), key=lambda b: b.levels)))
+            every.append(tuple(sorted((blocks[i] for i in chosen), key=lambda b: b.levels)))
             return
         lowest = (~covered & full & -(~covered & full)).bit_length() - 1
         for i, mask in enumerate(masks):
@@ -81,7 +78,7 @@ def lowest_path_tilings(layer, keep):
                 search(covered | mask, chosen + [i])
 
     search(0, [])
-    return total, first
+    return every
 
 
 class TestConstructTiling:
@@ -491,17 +488,35 @@ class TestExhaustiveOracle:
         (CustomTable((1, 2, 2, 1, 4, 3)), 4, 6),
     ], ids=["natural-2-5", "natural-4-5", "powers-2-3", "fp1-2-5", "certificate"])
     def test_agrees_with_lowest_path_reference(self, F, k, n):
-        # the counting phase's branching rule and memo give the reference's
-        # total, and the collected tilings are the reference's first ones
+        # the fewest-live branching rule and the memo give the reference's
+        # total, and every collected tiling is one of the reference's
         layer = build_layer(F, k, n)
-        total, first = lowest_path_tilings(layer, 7)
+        every = lowest_path_tilings(layer)
         res = enumerate_all_tilings(layer, PlainShape(layer.m), limit=0)
-        assert res.complete and res.total == total
+        assert res.complete and res.total == len(every)
         assert res.tilings == () and res.states > 0
-        for limit in (1, 7):
+        for limit in (1, 7, len(every) + 1):
             res = enumerate_all_tilings(layer, PlainShape(layer.m), limit=limit)
-            assert res.complete and res.total == total
-            assert [t.blocks for t in res.tilings] == first[:limit]
+            assert res.complete and res.total == len(every)
+            collected = [t.blocks for t in res.tilings]
+            assert len(collected) == min(limit, len(every))
+            assert len(set(collected)) == len(collected)
+            assert set(collected) <= set(every)
+
+    @pytest.mark.parametrize("scan_words,memo_bytes,states", [
+        (1, tiling_module.MEMO_BYTES, None), (tiling_module.SCAN_WORDS, 0, 0),
+        (tiling_module.SCAN_WORDS, 256, 1),
+    ], ids=["lowest-path-only", "no-memo", "memo-of-one"])
+    def test_narrow_scan_and_full_memo_keep_the_total(self, monkeypatch, scan_words,
+                                                      memo_bytes, states):
+        # looking at one path per node, or a memo with no room left, changes
+        # the work but not the count
+        monkeypatch.setattr(tiling_module, "SCAN_WORDS", scan_words)
+        monkeypatch.setattr(tiling_module, "MEMO_BYTES", memo_bytes)
+        layer = build_layer(Natural(), 4, 5)
+        res = enumerate_all_tilings(layer, PlainShape(layer.m), limit=0)
+        assert res.complete and res.total == 44928
+        assert states is None or res.states == states
 
     @pytest.mark.parametrize("budget", [1, 10])
     def test_counting_budget_stop_keeps_a_lower_bound(self, budget):
