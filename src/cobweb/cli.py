@@ -30,7 +30,12 @@ from pathlib import Path
 
 from . import blockgraph as bg
 from . import tiling as tl
-from .coefficients import fnomial, multi_fnomial
+from .coefficients import (
+    check_multi_recurrence,
+    fnomial,
+    fnomial_recurrence_rhs,
+    multi_fnomial,
+)
 from .errors import CapExceeded, CobwebError
 from .fsequence import is_cobweb_admissible, parse_family_spec, term
 from .geometry import (
@@ -68,6 +73,8 @@ def _write_file(path: str, content: str) -> None:
 
 def cmd_seq(args) -> int:
     F = parse_family_spec(args.family)
+    if args.count < 0:
+        raise CobwebError(f"--count needs a count >= 0, got {args.count}")
     values = [term(F, n) for n in range(args.start, args.start + args.count)]
     _emit(args, {"family": F.spec_string(), "terms": values},
           [" ".join(map(str, values))])
@@ -82,11 +89,7 @@ def cmd_coeff(args) -> int:
     lines = [str(value)]
     payload = {"family": F.spec_string(), "n": args.n, "k": args.k, "value": value}
     if args.check_recurrence:
-        from .fsequence import lambda_split
-
-        lam = lambda_split(F, args.k, args.n - args.k)
-        rhs = (lam.lambda_k * fnomial(F, args.n - 1, args.k - 1)
-               + lam.lambda_m * fnomial(F, args.n - 1, args.k))
+        rhs = fnomial_recurrence_rhs(F, args.n, args.k)
         ok = value == rhs
         payload.update({"recurrence_lhs": value, "recurrence_rhs": rhs,
                         "recurrence_holds": ok})
@@ -96,8 +99,6 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_multicoeff(args) -> int:
-    from .coefficients import check_multi_recurrence
-
     F = parse_family_spec(args.family)
     parts = _parse_parts(args.parts)
     if sum(parts) != args.n:
@@ -116,6 +117,8 @@ def cmd_multicoeff(args) -> int:
 
 def cmd_admissible(args) -> int:
     F = parse_family_spec(args.family)
+    if args.max < 1:
+        raise CobwebError(f"--max needs a bound >= 1, got {args.max}")
     report = is_cobweb_admissible(F, args.max)
     payload = {
         "family": F.spec_string(),

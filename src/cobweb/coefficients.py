@@ -62,14 +62,17 @@ def multi_fnomial(F: FSequence, parts) -> int:
     return value
 
 
-def check_fnomial_recurrence(F: FSequence, n: int, k: int) -> bool:
-    """Interior two-term recurrence with the split taken over (k, n-k)."""
+def fnomial_recurrence_rhs(F: FSequence, n: int, k: int) -> int:
+    """lambda_K (n-1 over k-1)_F + lambda_M (n-1 over k)_F, split over (k, n-k)."""
     if not 1 <= k <= n - 1:
         raise ValueError("recurrence check needs 1 <= k <= n-1")
     lam = lambda_split(F, k, n - k)
-    return fnomial(F, n, k) == (
-        lam.lambda_k * fnomial(F, n - 1, k - 1) + lam.lambda_m * fnomial(F, n - 1, k)
-    )
+    return lam.lambda_k * fnomial(F, n - 1, k - 1) + lam.lambda_m * fnomial(F, n - 1, k)
+
+
+def check_fnomial_recurrence(F: FSequence, n: int, k: int) -> bool:
+    """Interior two-term recurrence: (n over k)_F equals its right-hand side."""
+    return fnomial_recurrence_rhs(F, n, k) == fnomial(F, n, k)
 
 
 def check_multi_recurrence(F: FSequence, parts) -> bool:

@@ -11,11 +11,12 @@ tiler and the coefficient recurrences, so it is validated on every call.
 
 Built-in families
 -----------------
-Natural             n_F = n, split (1, 1)
-Powers(q)           n_F = q^n, split (q^m, 0)
-Gaussian(q)         n_F = 1 + q + ... + q^(n-1), split (1, q^k)
-ModifiedGaussian(q) n_F = n * q^(n-1), split (q^m, q^k)
-TLambdaAB(a, b)     n_F = 1_F * sum a^(n-1-i) b^i, split (a^m, b^k)
+TLambdaAB(a, b, 1_F) n_F = 1_F * sum a^(n-1-i) b^i, split (a^m, b^k);
+                    the next four are its points (a, b, 1_F)
+Natural             (1, 1, 1): n_F = n, split (1, 1)
+Powers(q)           (q, 0, q): n_F = q^n, split (q^m, 0)
+Gaussian(q)         (1, q, 1): n_F = 1 + q + ... + q^(n-1), split (1, q^k)
+ModifiedGaussian(q) (q, q, 1): n_F = n * q^(n-1), split (q^m, q^k)
 Fp(p)               1_F = 1, 2_F = p, n_F = p*(n-1)_F + (n-2)_F,
                     split ((m-1)_F, (k+1)_F) with the 0_F = 0 convention
 CustomTable(terms)  finite table, no splitting rule
@@ -65,81 +66,17 @@ class FSequence:
 
 
 @dataclass(frozen=True)
-class Natural(FSequence):
-    def _term(self, n):
-        return n
-
-    def _lambda(self, k, m):
-        return LambdaPair(1, 1)
-
-    def spec_string(self):
-        return "natural"
-
-
-@dataclass(frozen=True)
-class Powers(FSequence):
-    q: int = 2
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise FamilySpecError("powers needs q >= 1")
-
-    def _term(self, n):
-        return self.q**n
-
-    def _lambda(self, k, m):
-        # lambda_M = 0: the tiler skips its batch step entirely.
-        return LambdaPair(self.q**m, 0)
-
-    def spec_string(self):
-        return f"powers:q={self.q}"
-
-
-@dataclass(frozen=True)
-class Gaussian(FSequence):
-    q: int = 2
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise FamilySpecError("gaussian needs q >= 1")
-
-    def _term(self, n):
-        if self.q == 1:
-            return n
-        return (self.q**n - 1) // (self.q - 1)
-
-    def _lambda(self, k, m):
-        return LambdaPair(1, self.q**k)
-
-    def spec_string(self):
-        return f"gaussian:q={self.q}"
-
-
-@dataclass(frozen=True)
-class ModifiedGaussian(FSequence):
-    q: int = 2
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise FamilySpecError("modgauss needs q >= 1")
-
-    def _term(self, n):
-        return n * self.q ** (n - 1)
-
-    def _lambda(self, k, m):
-        return LambdaPair(self.q**m, self.q**k)
-
-    def spec_string(self):
-        return f"modgauss:q={self.q}"
-
-
-@dataclass(frozen=True)
 class TLambdaAB(FSequence):
     """Two-parameter family with geometric splitting coefficients.
 
     Terms come from the expansion of 1_F * x / ((1 - a*x)(1 - b*x)):
     n_F = 1_F * n * a^(n-1) when a == b, and 1_F * (a^n - b^n)/(a - b)
     otherwise.  Both cases are the single sum below.
+
+    Four named families are points (a, b, 1_F) of this family and share
+    its term and splitting rules: Natural (1, 1, 1), Powers(q) (q, 0, q),
+    Gaussian(q) (1, q, 1) and ModifiedGaussian(q) (q, q, 1).  A point
+    keeps its own class, so it is not equal to its `tlab:` spelling.
     """
 
     alpha: int
@@ -167,6 +104,45 @@ class TLambdaAB(FSequence):
         return f"tlab:a={self.alpha},b={self.beta},one={self.one}"
 
 
+class Natural(TLambdaAB):
+    def __init__(self):
+        super().__init__(1, 1, 1)
+
+    def spec_string(self):
+        return "natural"
+
+
+class Powers(TLambdaAB):
+    # lambda_M = 0^k = 0: the tiler skips its batch step entirely.
+    def __init__(self, q: int = 2):
+        if q < 1:
+            raise FamilySpecError("powers needs q >= 1")
+        super().__init__(q, 0, q)
+
+    def spec_string(self):
+        return f"powers:q={self.alpha}"
+
+
+class Gaussian(TLambdaAB):
+    def __init__(self, q: int = 2):
+        if q < 1:
+            raise FamilySpecError("gaussian needs q >= 1")
+        super().__init__(1, q, 1)
+
+    def spec_string(self):
+        return f"gaussian:q={self.beta}"
+
+
+class ModifiedGaussian(TLambdaAB):
+    def __init__(self, q: int = 2):
+        if q < 1:
+            raise FamilySpecError("modgauss needs q >= 1")
+        super().__init__(q, q, 1)
+
+    def spec_string(self):
+        return f"modgauss:q={self.alpha}"
+
+
 @dataclass(frozen=True)
 class Fp(FSequence):
     """Fibonacci-type family: 1_F = 1, 2_F = p, n_F = p*(n-1)_F + (n-2)_F."""
@@ -178,10 +154,7 @@ class Fp(FSequence):
             raise FamilySpecError("fp needs p >= 1")
 
     def _term(self, n):
-        # Extended backwards: term(-1) = 1, term(0) = 0 keep the splitting
-        # coefficients total even at their degenerate arguments.
-        if n == -1:
-            return 1
+        # 0_F = 0: the split's lambda_K = (m-1)_F reads it at m = 1.
         if n == 0:
             return 0
         prev, cur = 0, 1
@@ -314,18 +287,17 @@ def lambda_composition_reversed(F: FSequence, parts) -> tuple[int, ...]:
     """The mirror coefficient vector, splitting parts off right to left.
 
     Generally a different vector than lambda_composition, but with the
-    same weighted sum; useful as a cross-check.  Uses the raw coefficient
-    rules at their degenerate (zero) arguments, where built-in families
-    remain well defined.
+    same weighted sum; useful as a cross-check.  Every split it reads is
+    (suffix, part) with both sides >= 1, checked by lambda_split.
     """
     parts = composition(parts)
     k = len(parts)
     lams = []
     for s in range(k):
         suffix = sum(parts[s + 1:])
-        lam = F._lambda(suffix, parts[s]).lambda_m if suffix > 0 else 1
+        lam = lambda_split(F, suffix, parts[s]).lambda_m if suffix > 0 else 1
         for i in range(s):
-            lam *= F._lambda(sum(parts[i + 1:]), parts[i]).lambda_k
+            lam *= lambda_split(F, sum(parts[i + 1:]), parts[i]).lambda_k
         lams.append(lam)
     total = sum(l * term(F, b) for l, b in zip(lams, parts))
     if total != term(F, sum(parts)):
@@ -375,16 +347,13 @@ def parse_family_spec(spec: str) -> FSequence:
     spec = spec.strip()
     name, _, rest = spec.partition(":")
     name = name.lower()
-    if name == "natural":
-        if rest:
-            raise FamilySpecError("natural takes no parameters")
-        return Natural()
     if name == "table":
         body = rest.strip()
         if not (body.startswith("[") and body.endswith("]")):
             raise FamilySpecError(f"bad table spec {spec!r}")
+        inner = body[1:-1]
         try:
-            values = [int(v) for v in body[1:-1].split(",") if v.strip()]
+            values = [int(v) for v in inner.split(",")] if inner.strip() else []
         except ValueError as exc:
             raise FamilySpecError(f"bad table entry in {spec!r}") from exc
         return CustomTable(tuple(values))
@@ -393,13 +362,17 @@ def parse_family_spec(spec: str) -> FSequence:
     if rest:
         for item in rest.split(","):
             key, eq, value = item.partition("=")
+            key = key.strip()
             if not eq:
                 raise FamilySpecError(f"bad parameter {item!r} in {spec!r}")
+            if key in params:
+                raise FamilySpecError(f"repeated parameter {key!r} in {spec!r}")
             try:
-                params[key.strip()] = int(value)
+                params[key] = int(value)
             except ValueError as exc:
                 raise FamilySpecError(f"bad value in {item!r}") from exc
     makers: dict[str, tuple[Callable[..., FSequence], tuple[str, ...], dict[str, int]]] = {
+        "natural": (Natural, (), {}),
         "powers": (Powers, ("q",), {"q": 2}),
         "gaussian": (Gaussian, ("q",), {"q": 2}),
         "modgauss": (ModifiedGaussian, ("q",), {"q": 2}),

@@ -144,7 +144,10 @@ def parse_strategy(text: str) -> ChoiceStrategy:
     if text == "all":
         return Exhaustive()
     if text.startswith("seed:"):
-        return Seeded(int(text.split(":", 1)[1]))
+        try:
+            return Seeded(int(text.split(":", 1)[1]))
+        except ValueError:
+            pass
     raise ValueError(f"unknown strategy {text!r}")
 
 

@@ -302,6 +302,15 @@ class TestErrorsAndConfig:
         assert rc == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("admissible", "natural", "--max", "-5"), "--max needs a bound >= 1, got -5"),
+        (("seq", "natural", "--count", "-3"), "--count needs a count >= 0, got -3"),
+        (("tile", "natural", "2", "3", "--strategy", "seed:x"), "unknown strategy 'seed:x'"),
+    ])
+    def test_out_of_range_flag_is_one_line_error(self, capsys, argv, message):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out, err) == (1, "", f"error: {message}\n")
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["coeff", "natural"])  # missing arguments

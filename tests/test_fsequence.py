@@ -1,5 +1,6 @@
 """Sequence families, splitting coefficients, and admissibility reports."""
 
+import re
 from decimal import Decimal, getcontext
 
 import pytest
@@ -269,6 +270,40 @@ class TestFamilySpec:
         assert parse_family_spec(F.spec_string()) == F
 
     def test_bad_specs(self):
-        for bad in ("nope", "powers:z=1", "tlab:a=1", "table:[1,x]", "natural:q=2"):
+        for bad in ("nope", "powers:z=1", "tlab:a=1", "table:[1,x]", "natural:q=2",
+                    "fp:p=1,p=2", "tlab:a=1,b=2,a=3", "table:[1,,2]", "table:[]"):
             with pytest.raises(FamilySpecError):
                 parse_family_spec(bad)
+
+
+# Each named family with the point (alpha, beta, 1_F) of TLambdaAB it sits at,
+# and the error its spec raises at q = 0.
+NAMED_POINTS = [(Natural(), (1, 1, 1), "natural", "unknown parameters ['q'] for natural")] + [
+    (cls(q), point(q), f"{name}:q={q}", f"{name} needs q >= 1")
+    for cls, name, point in (
+        (Powers, "powers", lambda q: (q, 0, q)),
+        (Gaussian, "gaussian", lambda q: (1, q, 1)),
+        (ModifiedGaussian, "modgauss", lambda q: (q, q, 1)),
+    )
+    for q in range(1, 5)
+]
+
+
+class TestNamedPoints:
+    @pytest.mark.parametrize("F, point, spec, zero_error", NAMED_POINTS,
+                             ids=[spec for _, _, spec, _ in NAMED_POINTS])
+    def test_named_family_is_its_tlab_point(self, F, point, spec, zero_error):
+        G = TLambdaAB(*point)
+        assert [term(F, n) for n in range(1, 31)] == [term(G, n) for n in range(1, 31)]
+        for k in range(1, 9):
+            for m in range(1, 9):
+                assert lambda_split(F, k, m) == lambda_split(G, k, m)
+        assert F.spec_string() == spec
+        assert parse_family_spec(spec) == F
+        assert F != G
+        name = spec.partition(":")[0]
+        with pytest.raises(FamilySpecError, match=f"^{re.escape(zero_error)}$"):
+            parse_family_spec(f"{name}:q=0")
+        if name != "natural":
+            with pytest.raises(FamilySpecError, match=f"^{re.escape(zero_error)}$"):
+                type(F)(0)
