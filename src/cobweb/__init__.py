@@ -71,6 +71,7 @@ from .blockgraph import (
     block_count_formula,
     build_block_graph,
     clique_to_tiling,
+    count_size_d_cliques,
     enumerate_maximal_cliques,
     enumerate_size_d_cliques,
     find_clique,

@@ -27,6 +27,7 @@ from .geometry import (
     build_layer,
     overlap_masks,
 )
+from . import tiling as tiling_module
 from .tiling import Tiling, _sorted_blocks, verify_tiling
 
 
@@ -87,9 +88,23 @@ def build_block_graph(layer: Layer, *, block_cap: int = DEFAULT_BLOCK_CAP) -> Bl
 
 @dataclass(frozen=True)
 class CliqueSearchResult:
+    """Cliques found, whether the search finished, and its work: `nodes`
+    candidates tried and `states` subtree counts memoised."""
+
     cliques: tuple[tuple[int, ...], ...]
     complete: bool
     nodes: int
+    states: int = 0
+
+
+@dataclass(frozen=True)
+class CliqueCountResult:
+    """Number of size-d cliques; a lower bound when complete=False."""
+
+    total: int
+    complete: bool
+    nodes: int
+    states: int = 0
 
 
 class _Enough(Exception):
@@ -97,45 +112,72 @@ class _Enough(Exception):
 
 
 def _size_d_cliques(
-    graph: BlockGraph, d: Optional[int], node_budget: int, limit: int
-) -> CliqueSearchResult:
-    """Cliques of exactly size d in canonical order, the first `limit` of
-    them (all for limit=0), by a depth-first extension over candidates
-    above the last vertex taken.
+    graph: BlockGraph, d: Optional[int], node_budget: int, limit: Optional[int]
+) -> tuple[list[tuple[int, ...]], CliqueCountResult]:
+    """Cliques of exactly size d in canonical order, by a depth-first
+    extension over candidates above the last vertex taken: the first
+    `limit` of them (all for limit=0), or none but their number for
+    limit=None, together with the count and the work done.
 
     A node is one candidate tried as the next vertex of a prefix.  The
     sibling loop stops as soon as the candidates left could no longer
     complete the clique, and a node whose own candidates are too few is
-    not expanded.  complete=False means the node budget ran out first.
+    not expanded.  complete=False means the node budget ran out first;
+    the total then counts the cliques of every finished subtree.
+
+    The number of size-`need` cliques in a candidate set depends on the
+    set and the adjacency only, so finished subtrees are memoised in one
+    dict per `need`, keyed by the candidate bitmask.  A listing stores
+    and reads only the subtrees that hold no clique, since a positive
+    hit would still have to be walked to list its cliques; a count
+    stores every finished subtree and a hit adds its count.  A hit takes
+    the place of a subtree below a node already counted.  The memo
+    stops growing at about `tiling.MEMO_BYTES`, an entry counted as 128
+    bytes plus V/8; lookups go on, so answers stay exact.
     """
     want = graph.d if d is None else d
     if want < 0:
         raise ValueError(f"clique size must be >= 0, got {want}")
     adjacency = graph.adjacency
+    collect = limit is not None
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
-    nodes = 0
+    memo: list[dict[int, int]] = [{} for _ in range(want + 1)]
+    room = tiling_module.MEMO_BYTES // (128 + graph.vertex_count() // 8)
+    total = nodes = states = 0
 
     def extend(cand: int, need: int) -> None:
-        nonlocal nodes
+        nonlocal total, nodes, states
         if not need:
-            out.append(tuple(prefix))
-            if len(out) == limit:
-                raise _Enough
+            total += 1
+            if collect:
+                out.append(tuple(prefix))
+                if len(out) == limit:
+                    raise _Enough
             return
+        table = memo[need]
+        known = table.get(cand)
+        if known is not None:
+            total += known
+            return
+        before = total
+        rest = cand
         need -= 1
-        while cand.bit_count() > need:
+        while rest.bit_count() > need:
             nodes += 1
             if nodes > node_budget:
                 raise SearchBudgetExceeded(f"clique search exceeded {node_budget} nodes")
-            low = cand & -cand
-            cand ^= low
+            low = rest & -rest
+            rest ^= low
             v = low.bit_length() - 1
-            nxt = cand & adjacency[v]
+            nxt = rest & adjacency[v]
             if nxt.bit_count() >= need:
                 prefix.append(v)
                 extend(nxt, need)
                 prefix.pop()
+        if states < room and not (collect and total > before):
+            table[cand] = total - before
+            states += 1
 
     complete = True
     try:
@@ -144,7 +186,7 @@ def _size_d_cliques(
         pass
     except SearchBudgetExceeded:
         complete = False
-    return CliqueSearchResult(tuple(out), complete, nodes)
+    return out, CliqueCountResult(total, complete, nodes, states)
 
 
 def find_clique(
@@ -156,10 +198,10 @@ def find_clique(
     SearchBudgetExceeded is raised so the caller never mistakes an
     interrupted search for a proof of absence.
     """
-    result = _size_d_cliques(graph, d, node_budget, 1)
-    if result.cliques:
-        return result.cliques[0]
-    if not result.complete:
+    cliques, run = _size_d_cliques(graph, d, node_budget, 1)
+    if cliques:
+        return cliques[0]
+    if not run.complete:
         raise SearchBudgetExceeded(f"clique search exceeded {node_budget} nodes")
     return None
 
@@ -168,7 +210,16 @@ def enumerate_size_d_cliques(
     graph: BlockGraph, d: Optional[int] = None, *, node_budget: int = 5_000_000
 ) -> CliqueSearchResult:
     """All cliques of exactly size d, each reported once, sorted."""
-    return _size_d_cliques(graph, d, node_budget, 0)
+    cliques, run = _size_d_cliques(graph, d, node_budget, 0)
+    return CliqueSearchResult(tuple(cliques), run.complete, run.nodes, run.states)
+
+
+def count_size_d_cliques(
+    graph: BlockGraph, d: Optional[int] = None, *, node_budget: int = 5_000_000
+) -> CliqueCountResult:
+    """Number of cliques of exactly size d, by the same search without
+    listing them, so that every finished subtree's count is reused."""
+    return _size_d_cliques(graph, d, node_budget, None)[1]
 
 
 def enumerate_maximal_cliques(

@@ -7,14 +7,17 @@ import pytest
 from cobweb import (
     CustomTable,
     Fp,
+    Gaussian,
     Natural,
     PlainShape,
+    Powers,
     SearchBudgetExceeded,
     block_count_formula,
     blocks_disjoint,
     build_block_graph,
     build_layer,
     clique_to_tiling,
+    count_size_d_cliques,
     enumerate_all_tilings,
     enumerate_maximal_cliques,
     enumerate_size_d_cliques,
@@ -25,6 +28,7 @@ from cobweb import (
     to_dot,
     verify_tiling,
 )
+from cobweb import tiling as tiling_module
 
 
 class TestBlockCountFormula:
@@ -148,6 +152,74 @@ class TestCliqueSearch:
             assert result.cliques == reference, want
             first = find_clique(graph, want)
             assert first == (reference[0] if reference else None), want
+            counted = count_size_d_cliques(graph, want)
+            assert counted.complete and counted.total == len(reference), want
+
+    @staticmethod
+    def reference_cliques(graph, want):
+        """Size-`want` cliques by a plain depth-first extension with no
+        memo: candidates above the last vertex taken, in index order."""
+        out = []
+
+        def extend(prefix, cand):
+            if len(prefix) == want:
+                out.append(tuple(prefix))
+                return
+            while cand.bit_count() >= want - len(prefix):
+                low = cand & -cand
+                cand ^= low
+                v = low.bit_length() - 1
+                extend(prefix + [v], cand & graph.adjacency[v])
+
+        extend([], (1 << graph.vertex_count()) - 1)
+        return tuple(out)
+
+    @pytest.mark.parametrize("F, k, n", SMALL_GRAPHS + [
+        (Natural(), 2, 5), (Powers(2), 2, 3), (Gaussian(2), 2, 3),
+    ])
+    def test_memoised_search_matches_plain_reference(self, F, k, n):
+        layer = build_layer(F, k, n)
+        graph = build_block_graph(layer)
+        reference = self.reference_cliques(graph, graph.d)
+        listed = enumerate_size_d_cliques(graph)
+        assert listed.complete
+        assert listed.cliques == reference
+        assert find_clique(graph) == (reference[0] if reference else None)
+        counted = count_size_d_cliques(graph)
+        covers = enumerate_all_tilings(layer, PlainShape(layer.m), limit=0)
+        assert counted.complete and covers.complete
+        assert counted.total == len(reference) == covers.total
+
+    @pytest.mark.parametrize("budget", [1, 10])
+    def test_size_d_budget_stop_keeps_a_prefix_and_a_lower_bound(self, budget):
+        graph = build_block_graph(build_layer(Natural(), 3, 4))
+        whole = enumerate_size_d_cliques(graph)
+        assert whole.complete and len(whole.cliques) == 132
+        cut = enumerate_size_d_cliques(graph, node_budget=budget)
+        assert not cut.complete
+        assert cut.nodes == budget + 1
+        assert cut.cliques == whole.cliques[:len(cut.cliques)]
+        counted = count_size_d_cliques(graph, node_budget=budget)
+        assert not counted.complete
+        assert counted.nodes == budget + 1
+        assert 0 <= counted.total <= 132
+
+    @pytest.mark.parametrize("memo_bytes,states", [(0, 0), (256, 1)],
+                             ids=["no-memo", "memo-of-one"])
+    def test_full_memo_keeps_lists_and_counts(self, monkeypatch, memo_bytes, states):
+        # a memo with no room left changes the work but not the answers
+        graphs = [build_block_graph(build_layer(F, k, n))
+                  for F, k, n in [(Natural(), 3, 4), (Natural(), 2, 5)]]
+        before = [(enumerate_size_d_cliques(g).cliques, count_size_d_cliques(g).total)
+                  for g in graphs]
+        monkeypatch.setattr(tiling_module, "MEMO_BYTES", memo_bytes)
+        for graph, (cliques, total) in zip(graphs, before):
+            listed = enumerate_size_d_cliques(graph)
+            counted = count_size_d_cliques(graph)
+            assert listed.complete and counted.complete
+            assert listed.cliques == cliques
+            assert counted.total == total == len(cliques)
+            assert listed.states == counted.states == states
 
     def test_negative_size_refused(self):
         graph = build_block_graph(build_layer(Natural(), 2, 3))
@@ -155,6 +227,8 @@ class TestCliqueSearch:
             find_clique(graph, -1)
         with pytest.raises(ValueError):
             enumerate_size_d_cliques(graph, -1)
+        with pytest.raises(ValueError):
+            count_size_d_cliques(graph, -1)
 
     @pytest.mark.parametrize("budget", [1, 10])
     def test_maximal_clique_budget_stop_keeps_a_prefix(self, budget):
