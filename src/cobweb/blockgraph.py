@@ -9,7 +9,6 @@ and searches expand candidates in that order.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -289,6 +288,8 @@ def tiling_to_clique(graph: BlockGraph, tiling: Tiling, *, check: bool = True) -
 
 def block_label(block: Block) -> str:
     """Stable short hash of the block's canonical serialization."""
+    import hashlib  # only DOT export hashes; graph builds skip its import
+
     payload = json.dumps(block.to_json_obj(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:10]
 

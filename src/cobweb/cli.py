@@ -26,26 +26,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import blockgraph as bg
-from . import tiling as tl
 from .coefficients import (
     check_multi_recurrence,
     fnomial,
     fnomial_recurrence_rhs,
     multi_fnomial,
 )
-from .errors import CapExceeded, CobwebError
+from .errors import DEFAULT_BLOCK_CAP, DEFAULT_VOLUME_CAP, CapExceeded, CobwebError
 from .fsequence import is_cobweb_admissible, parse_family_spec, term
-from .geometry import (
-    DEFAULT_BLOCK_CAP,
-    DEFAULT_VOLUME_CAP,
-    PlainShape,
-    build_layer,
-    iter_max_paths,
-)
-from .render import RenderStyle, render_tiling_svg
+
+# The handlers import `tiling`, `blockgraph`, `geometry` and `render`
+# themselves, so a process loads only the modules its subcommand runs.
+if TYPE_CHECKING:
+    from . import tiling as tl
 
 
 def canonical_json(obj) -> str:
@@ -67,8 +62,24 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
+def _fs_path(text: str) -> str:
+    """The path as `pathlib.PurePosixPath` spells it: repeated slashes,
+    `.` parts and a trailing slash dropped, `''` read as `.`.  Files open
+    under that name, and errors quote it."""
+    root = "/" * (len(text) - len(text.lstrip("/")))
+    if root != "//":
+        root = root[:1]
+    return root + "/".join(p for p in text.split("/") if p not in ("", ".")) or "."
+
+
+def _read_file(path: str) -> str:
+    with open(_fs_path(path), encoding="utf-8") as handle:
+        return handle.read()
+
+
 def _write_file(path: str, content: str) -> None:
-    Path(path).write_text(content, encoding="utf-8")
+    with open(_fs_path(path), "w", encoding="utf-8") as handle:
+        handle.write(content)
 
 
 def cmd_seq(args) -> int:
@@ -119,6 +130,9 @@ def cmd_admissible(args) -> int:
     F = parse_family_spec(args.family)
     if args.max < 1:
         raise CobwebError(f"--max needs a bound >= 1, got {args.max}")
+    checks = args.max * (args.max + 3) // 2  # n + 1 F-nomials for each n <= max
+    if checks > args.cap_vertices:
+        raise CapExceeded(f"--max {args.max} checks {checks} F-nomials, over the cap {args.cap_vertices}")
     report = is_cobweb_admissible(F, args.max)
     payload = {
         "family": F.spec_string(),
@@ -135,6 +149,8 @@ def cmd_admissible(args) -> int:
 
 
 def cmd_paths(args) -> int:
+    from .geometry import build_layer, iter_max_paths
+
     F = parse_family_spec(args.family)
     layer = build_layer(F, args.k, args.n)
     payload = {"family": F.spec_string(), "span": [args.k, args.n],
@@ -149,6 +165,8 @@ def cmd_paths(args) -> int:
 
 
 def _strategy(args) -> tl.ChoiceStrategy:
+    from . import tiling as tl
+
     if args.strategy is None:
         return tl.Seeded(args.seed) if args.seed is not None else tl.LowestLabels()
     return tl.parse_strategy(args.strategy)
@@ -156,6 +174,8 @@ def _strategy(args) -> tl.ChoiceStrategy:
 
 def _emit_tiling(args, tiling: tl.Tiling) -> int:
     """Verify a constructed tiling, write it to --out, and report it."""
+    from . import tiling as tl
+
     report = tl.verify_tiling(tiling, volume_cap=args.cap_volume)
     obj = tiling.to_json_obj()
     if args.out:
@@ -179,6 +199,9 @@ def _refuse_over_cap(args, block_count) -> None:
 
 
 def cmd_tile(args) -> int:
+    from . import tiling as tl
+    from .geometry import build_layer
+
     F = parse_family_spec(args.family)
     strategy = _strategy(args)
     _refuse_over_cap(args, lambda: fnomial(F, args.n, build_layer(F, args.k, args.n).m))
@@ -186,6 +209,8 @@ def cmd_tile(args) -> int:
 
 
 def cmd_multitile(args) -> int:
+    from . import tiling as tl
+
     F = parse_family_spec(args.family)
     parts = _parse_parts(args.parts)
     strategy = _strategy(args)
@@ -194,6 +219,9 @@ def cmd_multitile(args) -> int:
 
 
 def cmd_count_tilings(args) -> int:
+    from . import tiling as tl
+    from .geometry import PlainShape, build_layer
+
     F = parse_family_spec(args.family)
     payload: dict = {"family": F.spec_string(), "span": [args.k, args.n],
                      "mode": args.mode}
@@ -221,6 +249,9 @@ def cmd_count_tilings(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    from . import blockgraph as bg
+    from .geometry import build_layer
+
     F = parse_family_spec(args.family)
     layer = build_layer(F, args.k, args.n)
     graph = bg.build_block_graph(layer, block_cap=args.cap_vertices)
@@ -248,7 +279,9 @@ def cmd_graph(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    obj = json.loads(Path(args.file).read_text(encoding="utf-8"))
+    from . import tiling as tl
+
+    obj = json.loads(_read_file(args.file))
     tiling = tl.tiling_from_json(obj)
     report = tl.verify_tiling(tiling, volume_cap=args.cap_volume)
     payload = {"valid": report.valid, "violations": list(report.violations),
@@ -260,7 +293,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    obj = json.loads(Path(args.file).read_text(encoding="utf-8"))
+    from . import tiling as tl
+    from .render import RenderStyle, render_tiling_svg
+
+    obj = json.loads(_read_file(args.file))
     sizes = tl.tiling_from_json(obj).layer.level_sizes()
     style = RenderStyle(dx=args.dx, dy=args.dy, radius=args.radius)
     svg = render_tiling_svg(obj, sizes, style)
@@ -281,7 +317,7 @@ def _apply_config(argv: list[str]) -> list[str]:
     if not known.config:
         return argv
     extra: list[str] = []
-    for raw in Path(known.config).read_text(encoding="utf-8").splitlines():
+    for raw in _read_file(known.config).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default caps that
+raise `CapExceeded`."""
+
+DEFAULT_VOLUME_CAP = 5000
+DEFAULT_BLOCK_CAP = 200_000
 
 
 class CobwebError(Exception):

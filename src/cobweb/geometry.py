@@ -17,16 +17,14 @@ do materialise paths), with `bits` as the one set-bit walk.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb, factorial
 from typing import Iterator, Optional
 
 from .coefficients import falling_f_factorial
-from .errors import CapExceeded
+from .errors import DEFAULT_BLOCK_CAP, DEFAULT_VOLUME_CAP, CapExceeded
 from .fsequence import FSequence, composition, term
-
-DEFAULT_VOLUME_CAP = 5000
-DEFAULT_BLOCK_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -333,14 +331,43 @@ def bits(mask: int) -> Iterator[int]:
 
 
 def _cardinality_vectors(layer: Layer, family: ShapeFamily) -> list[tuple[tuple[int, ...], int]]:
-    """Distinct level-cardinality vectors of a shape family, each with the
-    number of permutations sigma that produce it."""
+    """Distinct level-cardinality vectors of a shape family that fit the
+    layer (no entry above its level's size), in sorted order, each with
+    the number of permutations sigma that produce it.
+
+    A backtracking walk places the distinct values level by level, smallest
+    first, and prunes a value too large for its level, so a layer where
+    few orderings fit costs about as many steps as those orderings, not
+    m!.  It keeps its own stack, so m is not bounded by the recursion
+    limit."""
     values = shape_values(layer, family)
+    remaining = Counter(values)
     weight = 1
-    for value in set(values):
-        weight *= factorial(values.count(value))
-    vectors = sorted(set(itertools.permutations(values)))
-    return [(vec, weight) for vec in vectors]
+    for count in remaining.values():
+        weight *= factorial(count)
+    sizes = layer.level_sizes()
+    distinct = sorted(remaining)
+    vectors: list[tuple[tuple[int, ...], int]] = []
+    prefix: list[int] = []
+    nexts = [0]  # per open level, the index in `distinct` to try next
+    while nexts:
+        level, i = len(prefix), nexts[-1]
+        while i < len(distinct) and distinct[i] <= sizes[level] and not remaining[distinct[i]]:
+            i += 1
+        if i == len(distinct) or distinct[i] > sizes[level]:
+            nexts.pop()
+            if prefix:
+                remaining[prefix.pop()] += 1
+            continue
+        nexts[-1] = i + 1
+        remaining[distinct[i]] -= 1
+        prefix.append(distinct[i])
+        if len(prefix) < len(sizes):
+            nexts.append(0)
+        else:
+            vectors.append((tuple(prefix), weight))
+            remaining[prefix.pop()] += 1
+    return vectors
 
 
 def pair_count(layer: Layer, family: ShapeFamily) -> int:

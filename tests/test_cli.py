@@ -4,13 +4,14 @@ import contextlib
 import copy
 import io
 import json
+from pathlib import PurePosixPath
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobweb import Fp, Natural, construct_multi_tiling, construct_tiling, fnomial
-from cobweb.cli import main
+from cobweb.cli import _fs_path, main
 
 
 def run(capsys, *argv):
@@ -77,6 +78,16 @@ class TestAdmissible:
         rc, out, _ = run(capsys, "admissible", "table:[1,2,4,5,7]", "--max", "5")
         assert rc == 1
         assert "(5, 2)" in out
+
+    def test_max_over_cap_refused(self, capsys):
+        # n + 1 F-nomials for each n <= max: 5000150000 for --max 100000
+        rc, out, err = run(capsys, "admissible", "natural", "--max", "100000")
+        assert (rc, out) == (1, "")
+        assert err == "error: --max 100000 checks 5000150000 F-nomials, over the cap 200000\n"
+        rc, out, err = run(capsys, "admissible", "natural", "--max", "12", "--cap-vertices", "89")
+        assert (rc, out, err) == (1, "", "error: --max 12 checks 90 F-nomials, over the cap 89\n")
+        rc, out, _ = run(capsys, "admissible", "natural", "--max", "12", "--cap-vertices", "90")
+        assert rc == 0 and "admissible up to n = 12" in out
 
 
 class TestPaths:
@@ -310,6 +321,20 @@ class TestErrorsAndConfig:
     def test_out_of_range_flag_is_one_line_error(self, capsys, argv, message):
         rc, out, err = run(capsys, *argv)
         assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("spelling", [
+        "", ".", "/", "//", "///a", "./t.json", "a//b/./c/", "a/../b", "~/x", ".hidden/",
+    ])
+    def test_file_paths_spelt_as_pathlib_spells_them(self, spelling):
+        assert _fs_path(spelling) == str(PurePosixPath(spelling))
+
+    def test_file_errors_quote_the_pathlib_spelling(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc, out, err = run(capsys, "verify", ".//missing.json")
+        assert (rc, out) == (1, "")
+        assert err == "error: [Errno 2] No such file or directory: 'missing.json'\n"
+        rc, _, _ = run(capsys, "tile", "natural", "2", "3", "--out", "./t.json/")
+        assert rc == 0 and (tmp_path / "t.json").exists()
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

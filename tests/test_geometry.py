@@ -1,6 +1,7 @@
 """Layers, boxes, blocks, disjointness, and block enumeration."""
 
 import itertools
+import math
 
 import pytest
 
@@ -20,8 +21,8 @@ from cobweb import (
     point_to_path,
     term,
 )
-from cobweb.geometry import shape_values
-from conftest import lambda_families
+from cobweb.geometry import _cardinality_vectors, pair_count, shape_values
+from conftest import TABLE_B, TABLE_C, TABLE_E, lambda_families
 
 
 class TestLayer:
@@ -254,6 +255,34 @@ class TestEnumerateBlocks:
                         for _ in itertools.product(*pools):
                             count += 1
                     assert block_family(layer, PlainShape(layer.m)).pair_count == count
+
+    @pytest.mark.parametrize("F", [Natural(), Fp(1), Gaussian(2), TABLE_B, TABLE_C, TABLE_E],
+                             ids=["natural", "fp1", "gaussian2", "tableB", "tableC", "tableE"])
+    def test_cardinality_vectors_match_permutation_walk(self, F):
+        # the backtracking walk gives the fitting vectors of the full m! walk,
+        # in the same order and with the same weights
+        cases = [(build_layer(F, k, n), PlainShape(n - k + 1))
+                 for k in range(1, 5) for n in range(k, min(k + 4, 7))]
+        cases += [(build_layer(F, 1, sum(parts)), MultiShape(parts))
+                  for parts in ((2, 2), (1, 2, 1), (3, 2), (2, 1, 2, 1))]
+        for layer, shape in cases:
+            values = shape_values(layer, shape)
+            weight = 1
+            for value in set(values):
+                weight *= math.factorial(values.count(value))
+            sizes = layer.level_sizes()
+            walked = [(vector, weight) for vector in sorted(set(itertools.permutations(values)))
+                      if all(want <= size for size, want in zip(sizes, vector))]
+            assert _cardinality_vectors(layer, shape) == walked
+
+    def test_one_fitting_orientation_costs_no_permutation_walk(self):
+        # natural <1->10>: only the identity orientation fits (m! = 3628800)
+        layer = build_layer(Natural(), 1, 10)
+        assert _cardinality_vectors(layer, PlainShape(10)) == [(tuple(range(1, 11)), 1)]
+        assert pair_count(layer, PlainShape(10)) == 1
+        # the walk keeps its own stack, so m beyond the recursion limit works
+        deep = build_layer(Natural(), 1, 1500)
+        assert pair_count(deep, PlainShape(1500)) == 1
 
     def test_multi_family_example(self):
         layer = build_layer(Natural(), 1, 4)
