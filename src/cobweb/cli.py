@@ -35,7 +35,7 @@ from .coefficients import (
     multi_fnomial,
 )
 from .errors import DEFAULT_BLOCK_CAP, DEFAULT_VOLUME_CAP, CapExceeded, CobwebError
-from .fsequence import is_cobweb_admissible, parse_family_spec, term
+from .fsequence import admissibility_checks, is_cobweb_admissible, parse_family_spec, term
 
 # The handlers import `tiling`, `blockgraph`, `geometry` and `render`
 # themselves, so a process loads only the modules its subcommand runs.
@@ -130,10 +130,12 @@ def cmd_admissible(args) -> int:
     F = parse_family_spec(args.family)
     if args.max < 1:
         raise CobwebError(f"--max needs a bound >= 1, got {args.max}")
-    checks = args.max * (args.max + 3) // 2  # n + 1 F-nomials for each n <= max
-    if checks > args.cap_vertices:
-        raise CapExceeded(f"--max {args.max} checks {checks} F-nomials, over the cap {args.cap_vertices}")
-    report = is_cobweb_admissible(F, args.max)
+    try:
+        report = is_cobweb_admissible(F, args.max, cap=args.cap_vertices)
+    except CapExceeded:
+        checks = admissibility_checks(args.max)
+        raise CapExceeded(f"--max {args.max} checks {checks} F-nomials, "
+                          f"over the cap {args.cap_vertices}") from None
     payload = {
         "family": F.spec_string(),
         "bound": report.bound,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
-from .errors import FamilySpecError, LambdaRuleError, TableRangeError
+from .errors import DEFAULT_BLOCK_CAP, CapExceeded, FamilySpecError, LambdaRuleError, TableRangeError
 
 
 class LambdaPair(NamedTuple):
@@ -324,11 +324,24 @@ class AdmissibilityReport:
     bound: int
 
 
-def is_cobweb_admissible(F: FSequence, n_max: int) -> AdmissibilityReport:
-    """Check integrality of every F-nomial with n <= n_max, 0 <= m <= n."""
+def admissibility_checks(n_max: int) -> int:
+    """F-nomials `is_cobweb_admissible` checks: n + 1 for each 1 <= n <= n_max."""
+    n_max = max(n_max, 0)
+    return n_max * (n_max + 3) // 2
+
+
+def is_cobweb_admissible(
+    F: FSequence, n_max: int, *, cap: int = DEFAULT_BLOCK_CAP
+) -> AdmissibilityReport:
+    """Check integrality of every F-nomial with n <= n_max, 0 <= m <= n.
+
+    Raises CapExceeded up front when that is more than `cap` F-nomials."""
     from .coefficients import fnomial
     from .errors import NonIntegralCoefficient
 
+    checks = admissibility_checks(n_max)
+    if checks > cap:
+        raise CapExceeded(f"n_max {n_max} checks {checks} F-nomials, over the cap {cap}")
     for n in range(1, n_max + 1):
         for m in range(0, n + 1):
             try:

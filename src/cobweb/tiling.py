@@ -30,8 +30,9 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial
+from operator import or_
 from typing import Iterator, Optional
 
 from .errors import CapExceeded, SearchBudgetExceeded, TilingFormatError
@@ -447,6 +448,40 @@ MEMO_BYTES = 1 << 26
 SCAN_WORDS = 1 << 14
 
 
+# Maps the digits of `bin` to 0/1 selector bytes for `itertools.compress`.
+_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _blocks_on_paths(layer: Layer, blocks) -> list[int]:
+    """For each maximal path, in `path_masks` order, the bitmask of the
+    blocks through it.
+
+    A path lies in a block exactly when each of its vertices lies in the
+    block's level, so per level each vertex gets the bitmask of the blocks
+    holding it (set in byte rows, linear in the level incidences), and the
+    paths' masks are prefix ANDs of those, the last level varying fastest.
+    """
+    width = (len(blocks) + 7) // 8
+    on_path = [(1 << len(blocks)) - 1]
+    for pos, size in enumerate(layer.level_sizes()):
+        rows = [bytearray(width) for _ in range(size)]
+        for b_idx, block in enumerate(blocks):
+            byte, bit = b_idx >> 3, 1 << (b_idx & 7)
+            for v in block.levels[pos]:
+                rows[v - 1][byte] |= bit
+        holders = [int.from_bytes(row, "little") for row in rows]
+        on_path = [prefix & held for prefix in on_path for held in holders]
+    return on_path
+
+
+def _clash_mask(on_path: list[int], mask: int) -> int:
+    """Bitmask of the blocks sharing a path with the block of path mask
+    `mask` (the block included): the OR of `on_path` over its paths, in
+    one C-level pass over the mask's bits as 0/1 bytes."""
+    selectors = bin(mask)[:1:-1].encode().translate(_SELECTORS)
+    return reduce(or_, itertools.compress(on_path, selectors), 0)
+
+
 @dataclass(frozen=True)
 class TilingSearchResult:
     """Outcome of the exact-cover search.
@@ -475,10 +510,14 @@ def enumerate_all_tilings(
     """Every tiling of the layer by blocks of the family, by exact cover.
 
     Backtracking over the deduplicated block family on the path masks of
-    `geometry.path_masks` (not the block graph's overlap index, so this
-    oracle stays independent of the clique search).  The search carries
+    `geometry.path_masks`.  `on_path`, the blocks through each path, is
+    built by `_blocks_on_paths`: a per-level vertex index of the blocks,
+    then prefix ANDs over the levels.  A block's clash mask, the blocks
+    sharing a path with it, is the OR of `on_path` over its path mask
+    (`_clash_mask`), never read from `geometry.overlap_masks`, so this
+    oracle stays independent of the clique search.  The search carries
     the live blocks, those disjoint from the covered paths; taking a block
-    drops every block that shares a path with it.  It always branches on
+    drops every block in its clash mask.  It always branches on
     the uncovered path with the fewest live blocks (Knuth's Algorithm X
     rule), looking at only as many of the lowest uncovered paths as
     SCAN_WORDS allows and taking the lowest on a tie.
@@ -499,15 +538,9 @@ def enumerate_all_tilings(
     blocks = block_family(layer, family, block_cap=block_cap).blocks
     full = (1 << volume) - 1
     masks = path_masks(layer, blocks)
-    # the blocks through each path, set in byte rows so that the build
-    # stays linear in the block-path incidences
-    rows = [bytearray((len(masks) + 7) // 8) for _ in range(volume)]
-    for b_idx, mask in enumerate(masks):
-        for path in bits(mask):
-            rows[path][b_idx >> 3] |= 1 << (b_idx & 7)
-    on_path = [int.from_bytes(row, "little") for row in rows]
-    # per block, the complement of the blocks sharing a path with it,
-    # built the first time the block is taken (a complement is never 0)
+    on_path = _blocks_on_paths(layer, blocks)
+    # per block, the complement of its clash mask, built the first time
+    # the block is taken (a complement is never 0)
     keep = [0] * len(masks)
 
     found: list[tuple[int, ...]] = []
@@ -546,10 +579,7 @@ def enumerate_all_tilings(
             rest ^= low
         for b_idx in bits(branch):
             if not keep[b_idx]:
-                clash = 0
-                for path in bits(masks[b_idx]):
-                    clash |= on_path[path]
-                keep[b_idx] = ~clash
+                keep[b_idx] = ~_clash_mask(on_path, masks[b_idx])
             chosen.append(b_idx)
             search(covered | masks[b_idx], live & keep[b_idx], chosen)
             chosen.pop()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobweb import (
+    CapExceeded,
     CustomTable,
     CustomTLambda,
     FamilySpecError,
@@ -235,6 +236,15 @@ class TestAdmissibility:
     def test_report_is_bounded(self):
         report = is_cobweb_admissible(Natural(), 6)
         assert report.bound == 6
+
+    def test_cap_refuses_up_front(self):
+        # n + 1 F-nomials for each n <= n_max: 90 for n_max = 12
+        with pytest.raises(CapExceeded, match="n_max 12 checks 90 F-nomials, over the cap 89"):
+            is_cobweb_admissible(Natural(), 12, cap=89)
+        assert is_cobweb_admissible(Natural(), 12, cap=90).admissible_up_to_bound
+        # the default cap refuses at once what would otherwise run for hours
+        with pytest.raises(CapExceeded, match="5000150000 F-nomials, over the cap 200000"):
+            is_cobweb_admissible(Natural(), 100000)
 
 
 class TestCustomTLambda:

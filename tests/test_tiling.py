@@ -59,11 +59,11 @@ def with_vertex(tiling, b_idx, pos, old, new):
     return Tiling(tiling.layer, tuple(blocks), tiling.kind, "tampered")
 
 
-def lowest_path_tilings(layer):
+def lowest_path_tilings(layer, family):
     """Reference exact cover: plain backtracking over `path_masks` that
     branches on the lowest uncovered path, with no memo.  Returns the
     block tuples of every tiling, in the order `Tiling.blocks` keeps."""
-    blocks = block_family(layer, PlainShape(layer.m)).blocks
+    blocks = block_family(layer, family).blocks
     masks = path_masks(layer, blocks)
     full = (1 << layer.volume()) - 1
     every = []
@@ -483,25 +483,49 @@ class TestExhaustiveOracle:
         assert cut.total == len(cut.tilings)
 
 
-    @pytest.mark.parametrize("F,k,n", [
-        (Natural(), 2, 5), (Natural(), 4, 5), (Powers(2), 2, 3), (Fp(1), 2, 5),
-        (CustomTable((1, 2, 2, 1, 4, 3)), 4, 6),
-    ], ids=["natural-2-5", "natural-4-5", "powers-2-3", "fp1-2-5", "certificate"])
-    def test_agrees_with_lowest_path_reference(self, F, k, n):
+    @pytest.mark.parametrize("F,k,n,parts", [
+        (Natural(), 2, 5, None), (Natural(), 4, 5, None), (Powers(2), 2, 3, None),
+        (Fp(1), 2, 5, None), (CustomTable((1, 2, 2, 1, 4, 3)), 4, 6, None),
+        (Natural(), 1, 4, (2, 2)),
+    ], ids=["natural-2-5", "natural-4-5", "powers-2-3", "fp1-2-5", "certificate",
+            "natural-1-4-multi-2-2"])
+    def test_agrees_with_lowest_path_reference(self, F, k, n, parts):
         # the fewest-live branching rule and the memo give the reference's
         # total, and every collected tiling is one of the reference's
         layer = build_layer(F, k, n)
-        every = lowest_path_tilings(layer)
-        res = enumerate_all_tilings(layer, PlainShape(layer.m), limit=0)
+        family = PlainShape(layer.m) if parts is None else MultiShape(parts)
+        every = lowest_path_tilings(layer, family)
+        res = enumerate_all_tilings(layer, family, limit=0)
         assert res.complete and res.total == len(every)
         assert res.tilings == () and res.states > 0
         for limit in (1, 7, len(every) + 1):
-            res = enumerate_all_tilings(layer, PlainShape(layer.m), limit=limit)
+            res = enumerate_all_tilings(layer, family, limit=limit)
             assert res.complete and res.total == len(every)
             collected = [t.blocks for t in res.tilings]
             assert len(collected) == min(limit, len(every))
             assert len(set(collected)) == len(collected)
             assert set(collected) <= set(every)
+
+    @pytest.mark.parametrize("F,k,n,parts", [
+        (Natural(), 2, 5, None), (Fp(1), 3, 5, None), (Powers(2), 2, 3, None),
+        (Gaussian(2), 2, 3, None), (CustomTable((1, 2, 2, 1, 4, 3)), 4, 6, None),
+        (Natural(), 1, 4, (2, 2)),
+    ], ids=["natural-2-5", "fp1-3-5", "powers-2-3", "gaussian-2-3", "certificate",
+            "natural-1-4-multi-2-2"])
+    def test_path_index_and_clash_masks_match_path_masks(self, F, k, n, parts):
+        # bit b of on_path[p] is bit p of block b's path mask, and a clash
+        # mask holds exactly the blocks whose path masks meet the block's
+        layer = build_layer(F, k, n)
+        family = PlainShape(layer.m) if parts is None else MultiShape(parts)
+        blocks = block_family(layer, family).blocks
+        masks = path_masks(layer, blocks)
+        on_path = tiling_module._blocks_on_paths(layer, blocks)
+        assert len(on_path) == layer.volume()
+        for p, through in enumerate(on_path):
+            assert through == sum(1 << b for b, mask in enumerate(masks) if mask >> p & 1)
+        for mask in masks:
+            clash = sum(1 << b for b, other in enumerate(masks) if mask & other)
+            assert tiling_module._clash_mask(on_path, mask) == clash
 
     @pytest.mark.parametrize("scan_words,memo_bytes,states", [
         (1, tiling_module.MEMO_BYTES, None), (tiling_module.SCAN_WORDS, 0, 0),
