@@ -88,7 +88,9 @@ def build_block_graph(layer: Layer, *, block_cap: int = DEFAULT_BLOCK_CAP) -> Bl
 @dataclass(frozen=True)
 class CliqueSearchResult:
     """Cliques found, whether the search finished, and its work: `nodes`
-    candidates tried and `states` subtree counts memoised."""
+    counts the candidates tried and the memoised edges replayed (see
+    `_size_d_cliques`), `states` the finished subtrees memoised, each a
+    node of the shared DAG of their cliques."""
 
     cliques: tuple[tuple[int, ...], ...]
     complete: bool
@@ -110,6 +112,19 @@ class _Enough(Exception):
     """Unwinds the clique search once `limit` cliques are found."""
 
 
+# Bytes a memoised listing entry is counted per edge, on top of the 128
+# plus V/8 of any entry: its two tuple slots and a share of the tuple and
+# of the vertex ints, which every entry shares.  36 to 50 bytes measured
+# with tracemalloc on CPython 3.11 (natural <4->5>, <2->5> and <3->5>).
+EDGE_BYTES = 48
+
+# The memo entry of a listing subtree that holds no clique, shared by all.
+_DEAD = ()
+
+# What a listing subtree gives its parent when its entry was not stored.
+_LOST = object()
+
+
 def _size_d_cliques(
     graph: BlockGraph, d: Optional[int], node_budget: int, limit: Optional[int]
 ) -> tuple[list[tuple[int, ...]], CliqueCountResult]:
@@ -124,42 +139,73 @@ def _size_d_cliques(
     not expanded.  complete=False means the node budget ran out first;
     the total then counts the cliques of every finished subtree.
 
-    The number of size-`need` cliques in a candidate set depends on the
-    set and the adjacency only, so finished subtrees are memoised in one
-    dict per `need`, keyed by the candidate bitmask.  A listing stores
-    and reads only the subtrees that hold no clique, since a positive
-    hit would still have to be walked to list its cliques; a count
-    stores every finished subtree and a hit adds its count.  A hit takes
-    the place of a subtree below a node already counted.  The memo
-    stops growing at about `tiling.MEMO_BYTES`, an entry counted as 128
-    bytes plus V/8; lookups go on, so answers stay exact.
+    The size-`need` cliques in a candidate set depend on the set and the
+    adjacency only, so every finished subtree is memoised in one dict per
+    `need`, keyed by the candidate bitmask.  A count stores the subtree's
+    number of cliques, and a hit adds it.  A listing stores the subtree
+    as a node of a shared DAG of its cliques (as DXZ stores exact-cover
+    subtrees): a flat tuple `(v, child, v, child, ...)` of the vertices
+    taken at that level that lead to a clique, in order, each followed by
+    its child's node, or by None where the vertex finishes a clique.
+    Every subtree with no clique shares the empty node.  A hit replays
+    the node under the current prefix, which appends the same cliques in
+    the same order as searching it again; each replayed edge is a node,
+    so the budget bounds the work and the output alike.
+
+    The memo stops growing at about `tiling.MEMO_BYTES`: an entry is
+    counted as 128 bytes plus V/8, and a listing entry EDGE_BYTES more per
+    edge.  An entry that does not fit is not stored, and in a listing no
+    subtree holding a clique is stored after that, since its node could
+    refer to the one left out.  Lookups go on, so answers stay exact.
     """
     want = graph.d if d is None else d
     if want < 0:
         raise ValueError(f"clique size must be >= 0, got {want}")
     adjacency = graph.adjacency
+    vertex = tuple(range(graph.vertex_count()))  # one int per vertex for every entry
     collect = limit is not None
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
-    memo: list[dict[int, int]] = [{} for _ in range(want + 1)]
-    room = tiling_module.MEMO_BYTES // (128 + graph.vertex_count() // 8)
-    total = nodes = states = 0
+    memo: list[dict] = [{} for _ in range(want + 1)]
+    entry_bytes = 128 + graph.vertex_count() // 8
+    cap = tiling_module.MEMO_BYTES
+    total = nodes = states = spent = 0
+    full = False
 
-    def extend(cand: int, need: int) -> None:
-        nonlocal total, nodes, states
+    def replay(node: tuple, base: tuple) -> None:
+        nonlocal total, nodes
+        pairs = iter(node)
+        for v, child in zip(pairs, pairs):
+            nodes += 1
+            if nodes > node_budget:
+                raise SearchBudgetExceeded(f"clique search exceeded {node_budget} nodes")
+            if child is None:
+                total += 1
+                out.append(base + (v,))
+                if len(out) == limit:
+                    raise _Enough
+            else:
+                replay(child, base + (v,))
+
+    def extend(cand: int, need: int):
+        nonlocal total, nodes, states, spent, full
         if not need:
             total += 1
             if collect:
                 out.append(tuple(prefix))
                 if len(out) == limit:
                     raise _Enough
-            return
+            return None
         table = memo[need]
         known = table.get(cand)
         if known is not None:
-            total += known
-            return
+            if not collect:
+                total += known
+            elif known:
+                replay(known, tuple(prefix))
+            return known
         before = total
+        edges: list = []
         rest = cand
         need -= 1
         while rest.bit_count() > need:
@@ -172,11 +218,26 @@ def _size_d_cliques(
             nxt = rest & adjacency[v]
             if nxt.bit_count() >= need:
                 prefix.append(v)
-                extend(nxt, need)
+                child = extend(nxt, need)
                 prefix.pop()
-        if states < room and not (collect and total > before):
-            table[cand] = total - before
+                if collect and child is not _DEAD:
+                    edges += vertex[v], child
+        if not collect:
+            entry, cost = total - before, entry_bytes
+        elif not edges:
+            entry, cost = _DEAD, entry_bytes
+        elif full:
+            return _LOST
+        else:
+            entry, cost = tuple(edges), entry_bytes + EDGE_BYTES * (len(edges) >> 1)
+        if spent + cost <= cap:
+            table[cand] = entry
+            spent += cost
             states += 1
+        elif edges:
+            full = True
+            return _LOST
+        return entry
 
     complete = True
     try:
@@ -185,6 +246,7 @@ def _size_d_cliques(
         pass
     except SearchBudgetExceeded:
         complete = False
+    del extend, replay  # they refer to themselves; dropping them frees the memo on return
     return out, CliqueCountResult(total, complete, nodes, states)
 
 
@@ -254,6 +316,7 @@ def enumerate_maximal_cliques(
         complete = True
     except SearchBudgetExceeded:
         complete = False
+    del bk  # refers to itself; dropping it frees `out` on return
     return CliqueSearchResult(tuple(sorted(out)), complete, nodes)
 
 

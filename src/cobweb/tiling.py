@@ -122,7 +122,8 @@ class Exhaustive(ChoiceStrategy):
                 yield ()
                 return
             for batch in itertools.combinations(pool, remaining[0]):
-                rest_pool = tuple(v for v in pool if v not in set(batch))
+                taken = set(batch)
+                rest_pool = tuple(v for v in pool if v not in taken)
                 for tail in rec(rest_pool, remaining[1:]):
                     yield (batch,) + tail
 
@@ -426,7 +427,9 @@ def count_construction_tilings(F: FSequence, k: int, n: int) -> int:
         )
         return ways * count(lo, hi - 1) ** lam.lambda_m * count(lo - 1, hi - 1) ** lam.lambda_k
 
-    return count(k, n)
+    total = count(k, n)
+    del count  # refers to itself; dropping it frees the cache on return
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +594,7 @@ def enumerate_all_tilings(
         complete = True
     except SearchBudgetExceeded:
         complete = False
+    del search  # refers to itself; dropping it frees the memo on return
     tilings = tuple(
         Tiling(layer, _sorted_blocks(blocks[i] for i in pick), family, "exhaustive")
         for pick in found
@@ -675,4 +679,6 @@ def _parts_from_cardinalities(F: FSequence, n: int, cards: list[int]) -> Optiona
             failed.add(state)
         return None
 
-    return search(Counter(cards), top) or None
+    parts = search(Counter(cards), top)
+    del search  # refers to itself; dropping it frees `failed` on return
+    return parts or None

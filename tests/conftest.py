@@ -1,5 +1,7 @@
 """Shared fixtures: the family roster used across the suite."""
 
+import gc
+
 from cobweb import (
     CustomTable,
     Fp,
@@ -34,6 +36,18 @@ def compositions_of(n, max_parts=None):
         if max_parts is None or len(parts) <= max_parts:
             out.append(tuple(parts))
     return out
+
+
+def cyclic_garbage(call):
+    """Objects that `call()` leaves for the cycle collector to free, counted
+    with the collector off so that none is freed early."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 # Printed prefixes of the example tables used as fixtures.

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from cobweb import (
+    BlockGraph,
     CustomTable,
     Fp,
     Gaussian,
@@ -28,7 +29,9 @@ from cobweb import (
     to_dot,
     verify_tiling,
 )
+from cobweb import blockgraph as blockgraph_module
 from cobweb import tiling as tiling_module
+from conftest import cyclic_garbage
 
 
 class TestBlockCountFormula:
@@ -220,6 +223,103 @@ class TestCliqueSearch:
             assert listed.cliques == cliques
             assert counted.total == total == len(cliques)
             assert listed.states == counted.states == states
+
+    @pytest.mark.parametrize("F, k, n", SMALL_GRAPHS + [(Natural(), 4, 5)])
+    def test_listing_memoises_what_the_count_does(self, F, k, n):
+        # a listing stores every finished subtree, as a count does, and a
+        # hit replays it: the search part is the count's, and the replayed
+        # edges come on top
+        graph = build_block_graph(build_layer(F, k, n))
+        listed = enumerate_size_d_cliques(graph)
+        counted = count_size_d_cliques(graph)
+        assert listed.complete and counted.complete
+        assert len(listed.cliques) == counted.total <= listed.nodes
+        assert listed.states == counted.states
+        assert listed.nodes >= counted.nodes
+
+    def test_budget_sweep_keeps_a_prefix(self):
+        # each replayed edge is a node, so a budget anywhere in the listing
+        # stops at the first node over it, with the start of the full list;
+        # where every budget is tried, one more node adds at most one clique
+        for F, k, n, step in [(Natural(), 2, 5, None), (Natural(), 3, 4, 1)]:
+            graph = build_block_graph(build_layer(F, k, n))
+            whole = enumerate_size_d_cliques(graph)
+            assert whole.complete
+            budgets = range(1, whole.nodes, step or whole.nodes // 60)
+            assert len(budgets) >= 50
+            found = 0
+            for budget in budgets:
+                cut = enumerate_size_d_cliques(graph, node_budget=budget)
+                assert not cut.complete and cut.nodes == budget + 1, budget
+                assert cut.cliques == whole.cliques[:len(cut.cliques)], budget
+                assert len(cut.cliques) <= cut.nodes, budget
+                assert step != 1 or len(cut.cliques) - found <= 1, budget
+                found = len(cut.cliques)
+            assert enumerate_size_d_cliques(graph, node_budget=whole.nodes) == whole
+
+    @pytest.mark.parametrize("F, k, n, caps", [
+        (Natural(), 3, 4, 300), (Fp(1), 3, 4, 300), (Natural(), 2, 5, 15),
+    ])
+    def test_memo_too_small_for_listing_entries_keeps_lists(self, monkeypatch,
+                                                            F, k, n, caps):
+        # a listing entry is charged for its edges too, so a memo that holds
+        # every count entry holds fewer listing entries; an entry that does
+        # not fit is not stored, nor is any entry holding a clique after it,
+        # and at every size the answers stay the same
+        graph = build_block_graph(build_layer(F, k, n))
+        whole = enumerate_size_d_cliques(graph)
+        counted = count_size_d_cliques(graph)
+        entry_bytes = 128 + graph.vertex_count() // 8
+        exact = counted.states * entry_bytes
+        monkeypatch.setattr(tiling_module, "MEMO_BYTES", exact)
+        assert count_size_d_cliques(graph).states == counted.states
+        assert enumerate_size_d_cliques(graph).states < counted.states
+        no_live_entry = entry_bytes + blockgraph_module.EDGE_BYTES - 1
+        for memo_bytes in [no_live_entry, *range(0, exact, exact // caps)]:
+            monkeypatch.setattr(tiling_module, "MEMO_BYTES", memo_bytes)
+            listed = enumerate_size_d_cliques(graph)
+            assert listed.complete and listed.cliques == whole.cliques, memo_bytes
+            assert listed.states <= memo_bytes // entry_bytes, memo_bytes
+
+    def test_entry_left_out_of_the_memo_is_never_replayed(self, monkeypatch):
+        # 0 and 1 are each joined to 2 and to the independent set 3..10,
+        # which 2 is joined to as well: the subtree on {2, 3..10} is met
+        # twice, and its child on 3..10 (eight cliques) does not fit in the
+        # memo; the subtree itself would, but stored without its child it
+        # could not be replayed, so no entry holding a clique is stored
+        adjacency = [0] * 11
+        for a, b in [(top, v) for top in (0, 1) for v in range(2, 11)] + [
+                (2, v) for v in range(3, 11)]:
+            adjacency[a] |= 1 << b
+            adjacency[b] |= 1 << a
+        graph = BlockGraph(None, (None,) * 11, tuple(adjacency), 3)
+        reference = self.reference_cliques(graph, 3)
+        assert len(reference) == 16
+        entry_bytes = 128 + 11 // 8
+        memo_bytes = 3 * entry_bytes + blockgraph_module.EDGE_BYTES
+        assert memo_bytes < entry_bytes + 8 * blockgraph_module.EDGE_BYTES
+        monkeypatch.setattr(tiling_module, "MEMO_BYTES", memo_bytes)
+        listed = enumerate_size_d_cliques(graph)
+        assert listed.complete and listed.cliques == reference
+        assert listed.states == 1  # the subtree on 3..10 below 2, with no clique
+        assert count_size_d_cliques(graph).states == 3
+
+    def test_searches_leave_no_cyclic_garbage(self):
+        # each search drops its self-referring closures before it returns,
+        # so its memo is freed then, not at the next cycle collection
+        graph = build_block_graph(build_layer(Natural(), 2, 5))
+        searches = {
+            "listing": lambda: enumerate_size_d_cliques(graph),
+            "listing to a budget": lambda: enumerate_size_d_cliques(graph, node_budget=5000),
+            "first clique": lambda: find_clique(graph),
+            "count": lambda: count_size_d_cliques(graph),
+            "count to a budget": lambda: count_size_d_cliques(graph, node_budget=5000),
+            "maximal cliques": lambda: enumerate_maximal_cliques(graph),
+            "maximal cliques to a budget":
+                lambda: enumerate_maximal_cliques(graph, node_budget=10),
+        }
+        for name, search in searches.items():
+            assert cyclic_garbage(search) == 0, name
 
     def test_negative_size_refused(self):
         graph = build_block_graph(build_layer(Natural(), 2, 3))

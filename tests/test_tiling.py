@@ -34,7 +34,7 @@ from cobweb import (
 )
 from cobweb import tiling as tiling_module
 from cobweb.geometry import Block, block_family, blocks_disjoint, path_masks
-from conftest import TABLE_B, compositions_of, lambda_families
+from conftest import TABLE_B, compositions_of, cyclic_garbage, lambda_families
 
 
 def pairwise_overlaps(tiling):
@@ -147,6 +147,19 @@ class TestStrategies:
     def test_exhaustive_first_matches_lowest(self):
         first = next(iter(enumerate_construction_tilings(Natural(), 3, 4)))
         assert first.key() == construct_tiling(Natural(), 3, 4, Exhaustive()).key()
+
+    def test_exhaustive_deals_every_assignment_once_in_order(self):
+        # every way to deal the vertices into sorted batches of the sizes,
+        # each once, in lexicographic order
+        verts = (2, 3, 5, 7, 11, 13, 17, 19)
+        for sizes, count in [((2, 2, 2, 2), 2520), ((3, 1, 4), 280)]:
+            deals = list(Exhaustive().assignments(verts, sizes))
+            assert len(deals) == count
+            assert deals == sorted(set(deals))
+            for deal in deals:
+                assert tuple(map(len, deal)) == sizes
+                assert all(batch == tuple(sorted(batch)) for batch in deal)
+                assert sorted(v for batch in deal for v in batch) == list(verts)
 
 
 class TestMultiTiling:
@@ -541,6 +554,22 @@ class TestExhaustiveOracle:
         res = enumerate_all_tilings(layer, PlainShape(layer.m), limit=0)
         assert res.complete and res.total == 44928
         assert states is None or res.states == states
+
+    def test_searches_leave_no_cyclic_garbage(self):
+        # the search closure refers to itself; dropping it before returning
+        # frees the memo then, not at the next cycle collection
+        layer = build_layer(Natural(), 2, 5)
+        family = PlainShape(layer.m)
+        searches = {
+            "count": lambda: enumerate_all_tilings(layer, family, limit=0),
+            "collecting": lambda: enumerate_all_tilings(layer, family, limit=3),
+            "to a budget": lambda: enumerate_all_tilings(layer, family, node_budget=100),
+            "construction count": lambda: count_construction_tilings(Natural(), 3, 6),
+            "shape inference": lambda: tiling_module._parts_from_cardinalities(
+                Natural(), 4, [1, 2, 1, 3, 1, 2]),
+        }
+        for name, search in searches.items():
+            assert cyclic_garbage(search) == 0, name
 
     @pytest.mark.parametrize("budget", [1, 10])
     def test_counting_budget_stop_keeps_a_lower_bound(self, budget):
