@@ -19,7 +19,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import comb, factorial, prod
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .coefficients import falling_f_factorial
@@ -132,13 +133,10 @@ class Block:
     sigma: tuple[int, ...] = field(compare=False)
 
     def path_count(self) -> int:
-        out = 1
-        for level in self.levels:
-            out *= len(level)
-        return out
+        return prod(map(len, self.levels))
 
     def level_cardinalities(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.levels)
+        return tuple(map(len, self.levels))
 
     def to_json_obj(self) -> dict:
         return {
@@ -202,35 +200,52 @@ def make_block(layer: Layer, shape: ShapeFamily, subsets) -> Block:
 
 
 def block_defects(layer: Layer, values: tuple[int, ...], blocks) -> Iterator[tuple[int, str, bool]]:
-    """(block index, phrase, on_layer) for each defect, in one pass: a
+    """(block index, phrase, on_layer) for each defect, block by block: a
     block holds a nonempty vertex set on each layer level, sized by a
     permutation of `values`.  A span or level-count mismatch is a block's
-    only phrase; on_layer is False for those and for a vertex off its level."""
+    only phrase; on_layer is False for those and for a vertex off its level.
+
+    Blocks often share a level subset, so each distinct subset of a level
+    is checked once, and each distinct cardinality vector once."""
     span = (layer.k, layer.n)
-    sizes = layer.level_sizes()
+    m = layer.m
+    blocks = tuple(blocks)
+    shaped = [block.levels for block in blocks if block.span == span and len(block.levels) == m]
+    # per level, the defects of each faulty subset the blocks hold there
+    faults: list[dict[tuple[int, ...], list[tuple[str, bool]]]] = []
+    for pos, size in enumerate(layer.level_sizes()):
+        s = layer.k + pos
+        faulty = {}
+        for level in set(map(itemgetter(pos), shaped)):
+            found = []
+            if not level:
+                found.append((f"level {s} empty", True))
+            elif min(level) < 1 or max(level) > size:
+                found.append((f"level {s} outside layer", False))
+            if len(set(level)) != len(level):
+                found.append((f"level {s} repeats a vertex", True))
+            if found:
+                faulty[level] = found
+        faults.append(faulty)
+    any_fault = any(faults)
     wanted = sorted(values)
-    sound: list[set] = [set() for _ in sizes]  # defect-free level subsets per level
+    fits: dict[tuple[int, ...], bool] = {}  # per cardinality vector, whether it realises the shape
     for i, block in enumerate(blocks):
         if block.span != span:
             yield i, f"span {block.span} mismatches layer", False
             continue
-        if len(block.levels) != layer.m:
-            yield i, f"{len(block.levels)} levels, layer has {layer.m}", False
+        if len(block.levels) != m:
+            yield i, f"{len(block.levels)} levels, layer has {m}", False
             continue
-        for s, level, size, seen in zip(itertools.count(layer.k), block.levels, sizes, sound):
-            if level in seen:  # blocks often share a level subset
-                continue
-            distinct = len(set(level)) == len(level)
-            if not level:
-                yield i, f"level {s} empty", True
-            elif min(level) < 1 or max(level) > size:
-                yield i, f"level {s} outside layer", False
-            elif distinct:
-                seen.add(level)
-            if not distinct:
-                yield i, f"level {s} repeats a vertex", True
+        if any_fault:
+            for level, faulty in zip(block.levels, faults):
+                for phrase, on_layer in faulty.get(level, ()):
+                    yield i, phrase, on_layer
         cards = block.level_cardinalities()
-        if sorted(cards) != wanted:
+        fit = fits.get(cards)
+        if fit is None:
+            fit = fits[cards] = sorted(cards) == wanted
+        if not fit:
             yield i, f"cardinalities {cards} do not realise the shape", True
 
 

@@ -1,7 +1,7 @@
 """Layer tilings: recursive construction, verification, counting, search.
 
-The constructive tiler works on "virtual layers": lists of (physical
-level, vertex set) pairs whose sizes follow the profile k'_F .. n'_F of
+The constructive tiler works on "virtual layers": tuples of level vertex
+tuples, bottom to top, whose sizes follow the profile k'_F .. n'_F of
 some span.  One recursion step splits the top level
 
     n'_F = lambda_K * (k'-1)_F + lambda_M * m_F        (m = n'-k'+1 levels)
@@ -13,6 +13,12 @@ the remaining levels, giving a virtual layer one span lower to tile with
 full-height blocks.  Steps with a zero coefficient are skipped.  The
 recursion bottoms out at single-level layers (split into groups of 1_F
 vertices) and at spans starting at 1 (the whole layer is one block).
+A block under construction is a tuple of level tuples in the order of its
+virtual layer: an m_F-batch is appended to its sub-blocks, and the
+sub-blocks of a rotated (k'-1)_F-batch are rotated back, so the blocks of
+the whole layer come out in physical level order.  Each construction
+keeps one plan, the batch sizes of each split it meets, so the lambda
+coefficients are worked out once per split, not once per node.
 
 The multi-block tiler peels the top level of <1 -> n> the same way, one
 batch group per composition part, recursing on the decremented part.
@@ -117,17 +123,20 @@ class Exhaustive(ChoiceStrategy):
     """Every ordered batch assignment, lexicographic."""
 
     def assignments(self, verts, sizes):
-        def rec(pool: tuple[int, ...], remaining: tuple[int, ...]):
-            if not remaining:
-                yield ()
-                return
-            for batch in itertools.combinations(pool, remaining[0]):
-                taken = set(batch)
-                rest_pool = tuple(v for v in pool if v not in taken)
-                for tail in rec(rest_pool, remaining[1:]):
-                    yield (batch,) + tail
+        yield from _deals(tuple(verts), tuple(sizes))
 
-        yield from rec(tuple(verts), tuple(sizes))
+
+def _deals(pool: tuple[int, ...], sizes: tuple[int, ...]) -> Iterator[tuple]:
+    """Every way to deal the pool into ordered batches of these sizes, the
+    first batch varying slowest, each batch an ascending combination."""
+    if not sizes:
+        yield ()
+        return
+    for batch in itertools.combinations(pool, sizes[0]):
+        taken = set(batch)
+        rest = tuple(v for v in pool if v not in taken)
+        for tail in _deals(rest, sizes[1:]):
+            yield (batch,) + tail
 
 
 def _construction_chooser(strategy: Optional[ChoiceStrategy]) -> ChoiceStrategy:
@@ -181,16 +190,26 @@ def _sorted_blocks(blocks) -> tuple[Block, ...]:
     return tuple(sorted(blocks, key=lambda b: b.levels))
 
 
-def _assemble(layer: Layer, shape: ShapeFamily, raw) -> tuple[Block, ...]:
-    """Blocks from {physical level: vertex tuple} maps, sorted, each with
-    its canonical sigma over the shape's base vector."""
+# A block under construction: its vertex tuples, one per level of the
+# (virtual) layer it tiles, bottom to top.
+Levels = tuple[tuple[int, ...], ...]
+
+
+def _assemble(layer: Layer, shape: ShapeFamily, raw: list[Levels]) -> tuple[Block, ...]:
+    """Blocks from level tuples in physical order, sorted, each with its
+    canonical sigma over the shape's base vector, found once per distinct
+    cardinality vector."""
     values = shape_values(layer, shape)
+    span = (layer.k, layer.n)
+    sigmas: dict[tuple[int, ...], tuple[int, ...]] = {}
     blocks = []
-    for mapping in raw:
-        levels = tuple(mapping[s] for s in range(layer.k, layer.n + 1))
-        sigma = canonical_sigma(values, tuple(len(lv) for lv in levels))
-        blocks.append(Block((layer.k, layer.n), levels, sigma))
-    return _sorted_blocks(blocks)
+    for levels in sorted(raw):
+        cards = tuple(map(len, levels))
+        sigma = sigmas.get(cards)
+        if sigma is None:
+            sigma = sigmas[cards] = canonical_sigma(values, cards)
+        blocks.append(Block(span, levels, sigma))
+    return tuple(blocks)
 
 
 def _full_level(F: FSequence, s: int) -> tuple[int, ...]:
@@ -198,46 +217,46 @@ def _full_level(F: FSequence, s: int) -> tuple[int, ...]:
 
 
 def _plain_options(
-    F: FSequence,
-    levels: tuple[tuple[int, tuple[int, ...]], ...],
-    lo: int,
-    hi: int,
-    chooser: ChoiceStrategy,
-) -> Iterator[list[dict[int, tuple[int, ...]]]]:
-    """All completions of a virtual layer into full-height block maps.
+    F: FSequence, levels: Levels, lo: int, chooser: ChoiceStrategy, plans: dict
+) -> Iterator[list[Levels]]:
+    """All completions of a virtual layer into full-height blocks.
 
-    `levels` pairs each virtual level, bottom to top, with its physical
-    level; entry s must hold exactly (lo+s)_F vertices.  Each yielded
-    option is one finished tiling of the virtual layer, a list of
-    {physical level: vertex tuple} maps.  Options stream lazily; only
+    `levels` holds the virtual layer's vertex tuples, bottom to top; entry
+    s must hold exactly (lo+s)_F vertices.  Each yielded option is one
+    finished tiling of the virtual layer, a list of blocks given as level
+    tuples in the virtual layer's order: an m_F-batch is appended to the
+    blocks of the sub-layer below it, and the blocks of a (k'-1)_F-batch's
+    virtual layer, which starts with the batch, are rotated to end with
+    it.  `plans` maps (lo, m) to the split's m_F-batch count and batch
+    sizes, computed once per construction.  Options stream lazily; only
     sub-layer option lists are materialised (they are needed once per
     batch combination).
     """
-    m = hi - lo + 1
+    m = len(levels)
     if m == 1:
-        phys, verts = levels[0]
+        verts = levels[0]
         unit = term(F, 1)
-        yield [{phys: verts[i:i + unit]} for i in range(0, len(verts), unit)]
+        yield [(verts[i:i + unit],) for i in range(0, len(verts), unit)]
         return
     if lo == 1:
-        yield [{phys: verts for phys, verts in levels}]
+        yield [levels]
         return
 
-    lam = lambda_split(F, lo - 1, m)
-    phys_top, top = levels[-1]
-    sizes = (term(F, m),) * lam.lambda_m + (term(F, lo - 1),) * lam.lambda_k
-    for batches in chooser.assignments(top, sizes):
-        m_batches = batches[:lam.lambda_m]
-        k_batches = batches[lam.lambda_m:]
-        per_batch: list[list[list[dict[int, tuple[int, ...]]]]] = []
-        for batch in m_batches:
-            subs = _plain_options(F, levels[:-1], lo, hi - 1, chooser)
-            per_batch.append(
-                [[{**blk, phys_top: batch} for blk in sub] for sub in subs]
-            )
-        for batch in k_batches:
-            virtual = ((phys_top, batch),) + levels[:-1]
-            per_batch.append(list(_plain_options(F, virtual, lo - 1, hi - 1, chooser)))
+    plan = plans.get((lo, m))
+    if plan is None:
+        lam = lambda_split(F, lo - 1, m)
+        sizes = (term(F, m),) * lam.lambda_m + (term(F, lo - 1),) * lam.lambda_k
+        plan = plans[lo, m] = (lam.lambda_m, sizes)
+    split, sizes = plan
+    below = levels[:-1]
+    for batches in chooser.assignments(levels[-1], sizes):
+        per_batch: list[list[list[Levels]]] = []
+        for batch in batches[:split]:
+            subs = _plain_options(F, below, lo, chooser, plans)
+            per_batch.append([[blk + (batch,) for blk in sub] for sub in subs])
+        for batch in batches[split:]:
+            subs = _plain_options(F, (batch,) + below, lo - 1, chooser, plans)
+            per_batch.append([[blk[1:] + blk[:1] for blk in sub] for sub in subs])
         for combo in itertools.product(*per_batch):
             yield [blk for sub in combo for blk in sub]
 
@@ -251,14 +270,19 @@ def _construction_layer(F: FSequence, k: int, n: int) -> Layer:
     return layer
 
 
+def _layer_options(F: FSequence, k: int, n: int, chooser: ChoiceStrategy) -> Iterator[list[Levels]]:
+    """`_plain_options` on the whole layer <k -> n>, with a fresh plan."""
+    levels = tuple(_full_level(F, s) for s in range(k, n + 1))
+    return _plain_options(F, levels, k, chooser, {})
+
+
 def construct_tiling(
     F: FSequence, k: int, n: int, strategy: Optional[ChoiceStrategy] = None
 ) -> Tiling:
     """Build one tiling of <k -> n> by the recursive construction."""
     layer = _construction_layer(F, k, n)
     chooser = _construction_chooser(strategy)
-    levels = tuple((s, _full_level(F, s)) for s in range(k, n + 1))
-    first = next(_plain_options(F, levels, k, n, chooser))
+    first = next(_layer_options(F, k, n, chooser))
     shape = PlainShape(layer.m)
     label = type(chooser).__name__.lower()
     return Tiling(layer, _assemble(layer, shape, first), shape, f"construct:{label}")
@@ -268,8 +292,7 @@ def enumerate_construction_tilings(F: FSequence, k: int, n: int) -> Iterator[Til
     """One tiling per exhaustive choice sequence, repeats included."""
     layer = _construction_layer(F, k, n)
     shape = PlainShape(layer.m)
-    levels = tuple((s, _full_level(F, s)) for s in range(k, n + 1))
-    for option in _plain_options(F, levels, k, n, Exhaustive()):
+    for option in _layer_options(F, k, n, Exhaustive()):
         yield Tiling(layer, _assemble(layer, shape, option), shape, "construct:exhaustive")
 
 
@@ -284,39 +307,51 @@ def construction_census(F: FSequence, k: int, n: int, *, limit: int = 1_000_000)
     expected = count_construction_tilings(F, k, n)
     if expected > limit:
         raise CapExceeded(f"{expected} choice sequences exceed limit {limit}")
-    levels = tuple((s, _full_level(F, s)) for s in range(k, n + 1))
-    span = range(k, n + 1)
     sequences = 0
     distinct = set()
-    for option in _plain_options(F, levels, k, n, Exhaustive()):
+    for option in _layer_options(F, k, n, Exhaustive()):
         sequences += 1
-        distinct.add(tuple(sorted(tuple(blk[s] for s in span) for blk in option)))
+        distinct.add(tuple(sorted(option)))
     return ConstructionCensus(sequences, len(distinct))
 
 
-def _multi_options(
-    F: FSequence, parts: tuple[int, ...], n_cur: int, chooser: ChoiceStrategy
-) -> Iterator[list[dict[int, tuple[int, ...]]]]:
+def _multi_plan(F: FSequence, parts: tuple[int, ...]) -> tuple:
+    """(top level, batch sizes, sub-parts per batch) of the multi step on
+    `parts`, or (the one block, None, None) when one part is left."""
+    n_cur = sum(parts)
     active = [(i, b) for i, b in enumerate(parts) if b > 0]
     if len(active) == 1:
-        yield [{s: _full_level(F, s) for s in range(1, n_cur + 1)}]
-        return
-
+        return tuple(_full_level(F, s) for s in range(1, n_cur + 1)), None, None
     lams = lambda_composition(F, tuple(b for _, b in active))
-    top = _full_level(F, n_cur)
     sizes: list[int] = []
-    slots: list[int] = []
+    subs: list[tuple[int, ...]] = []
     for (idx, b), lam in zip(active, lams):
-        sizes.extend([term(F, b)] * lam)
-        slots.extend([idx] * lam)
-    for batches in chooser.assignments(top, tuple(sizes)):
-        per_batch = []
-        for batch, idx in zip(batches, slots):
-            smaller = parts[:idx] + (parts[idx] - 1,) + parts[idx + 1:]
-            per_batch.append([
-                [{**blk, n_cur: batch} for blk in sub]
-                for sub in _multi_options(F, smaller, n_cur - 1, chooser)
-            ])
+        sizes += [term(F, b)] * lam
+        subs += [parts[:idx] + (b - 1,) + parts[idx + 1:]] * lam
+    return _full_level(F, n_cur), tuple(sizes), tuple(subs)
+
+
+def _multi_options(
+    F: FSequence, parts: tuple[int, ...], chooser: ChoiceStrategy, plans: dict
+) -> Iterator[list[Levels]]:
+    """All completions of <1 -> sum(parts)> into multi-blocks over `parts`
+    (zero parts are spent), each a list of level tuples, bottom to top.
+    The top level is dealt into batches, and each batch is appended to the
+    blocks of the layer one lower over the parts with its own part
+    decremented.  `plans` maps parts to their `_multi_plan`, computed once
+    per construction."""
+    plan = plans.get(parts)
+    if plan is None:
+        plan = plans[parts] = _multi_plan(F, parts)
+    top, sizes, subs = plan
+    if sizes is None:
+        yield [top]
+        return
+    for batches in chooser.assignments(top, sizes):
+        per_batch = [
+            [[blk + (batch,) for blk in sub] for sub in _multi_options(F, smaller, chooser, plans)]
+            for batch, smaller in zip(batches, subs)
+        ]
         for combo in itertools.product(*per_batch):
             yield [blk for sub in combo for blk in sub]
 
@@ -330,7 +365,7 @@ def construct_multi_tiling(
         raise ValueError(f"composition {parts} does not sum to {n}")
     layer = build_layer(F, 1, n)
     chooser = _construction_chooser(strategy)
-    first = next(_multi_options(F, parts, n, chooser))
+    first = next(_multi_options(F, parts, chooser, {}))
     shape = MultiShape(parts)
     label = type(chooser).__name__.lower()
     return Tiling(layer, _assemble(layer, shape, first), shape, f"construct-multi:{label}")
@@ -354,8 +389,17 @@ def verify_tiling(tiling: Tiling, *, volume_cap: int = DEFAULT_VOLUME_CAP) -> Ve
     the path total and the explicit cover take only the blocks on the layer.
     Blocks that meet on each level (`geometry.overlapping_pairs`) share a
     maximal path; a block of another span is compared from the bottom.
+
+    The pair pass runs only when it can report a pair: when the volume is
+    over `volume_cap`, when some block is off the layer, or when the
+    explicit cover found an overlap.  Otherwise every block was covered
+    explicitly and the cover passed, so the path masks are pairwise
+    disjoint and each has `path_count` bits (no level repeats a vertex);
+    on-layer blocks share a maximal path exactly when their masks meet, so
+    no pair exists and skipping the pass changes no report.
     """
     layer = tiling.layer
+    volume = layer.volume()
     violations: list[str] = []
 
     kind = tiling.kind
@@ -368,25 +412,27 @@ def verify_tiling(tiling: Tiling, *, volume_cap: int = DEFAULT_VOLUME_CAP) -> Ve
     violations += [f"block {i}: {defect}" for i, defect, _ in defects]
     off_layer = {i for i, _, on_layer in defects if not on_layer}
     blocks = [block for i, block in enumerate(tiling.blocks) if i not in off_layer]
+    counts = [block.path_count() for block in blocks]
 
-    for i, j in overlapping_pairs(tiling.blocks):
-        violations.append(f"blocks {i} and {j} share a maximal path")
+    total_paths = sum(counts)
+    if total_paths != volume:
+        violations.append(f"blocks cover {total_paths} paths, layer has {volume}")
 
-    total_paths = sum(block.path_count() for block in blocks)
-    if total_paths != layer.volume():
-        violations.append(f"blocks cover {total_paths} paths, layer has {layer.volume()}")
-
-    if layer.volume() <= volume_cap:
+    overlap = False
+    if volume <= volume_cap:
         covered = 0
-        overlap = False
-        for block, mask in zip(blocks, path_masks(layer, blocks)):
-            if covered & mask or mask.bit_count() != block.path_count():
+        for count, mask in zip(counts, path_masks(layer, blocks)):
+            if covered & mask or mask.bit_count() != count:
                 overlap = True
             covered |= mask
         if overlap:
             violations.append("explicit path sets overlap")
-        if covered != (1 << layer.volume()) - 1:
+        if covered != (1 << volume) - 1:
             violations.append("explicit path sets do not cover the layer")
+
+    if volume > volume_cap or off_layer or overlap:
+        for i, j in overlapping_pairs(tiling.blocks):
+            violations.append(f"blocks {i} and {j} share a maximal path")
 
     return VerificationReport(not violations, tuple(sorted(set(violations))))
 

@@ -1,6 +1,9 @@
 """Constructive tiler, verifier, counting, and the exact-cover oracle."""
 
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 
@@ -33,6 +36,7 @@ from cobweb import (
     verify_tiling,
 )
 from cobweb import tiling as tiling_module
+from cobweb.tiling import VerificationReport, parse_strategy
 from cobweb.geometry import Block, block_family, blocks_disjoint, path_masks
 from conftest import TABLE_B, compositions_of, cyclic_garbage, lambda_families
 
@@ -47,6 +51,25 @@ def pairwise_overlaps(tiling):
         for i, j in itertools.combinations(range(len(blocks)), 2)
         if not blocks_disjoint(blocks[i], blocks[j])
     }
+
+
+def always_paired_report(tiling, cap):
+    """The report of a verifier that always runs the pair pass: the report
+    of `verify_tiling` with its pair violations replaced by those of the
+    pairwise definition."""
+    report = verify_tiling(tiling, volume_cap=cap)
+    rest = {v for v in report.violations if not v.endswith("share a maximal path")}
+    violations = tuple(sorted(rest | pairwise_overlaps(tiling)))
+    return VerificationReport(not violations, violations)
+
+
+def with_level(tiling, b_idx, pos, level):
+    """Copy of the tiling with one block level replaced as given."""
+    block = tiling.blocks[b_idx]
+    levels = block.levels[:pos] + (level,) + block.levels[pos + 1:]
+    blocks = list(tiling.blocks)
+    blocks[b_idx] = Block(block.span, levels, block.sigma)
+    return Tiling(tiling.layer, tuple(blocks), tiling.kind, "tampered")
 
 
 def with_vertex(tiling, b_idx, pos, old, new):
@@ -115,6 +138,33 @@ class TestConstructTiling:
                     assert report.valid, (F.spec_string(), k, n, report.violations[:3])
                     assert len(tiling.blocks) == fnomial(F, n, layer.m)
 
+    def test_outputs_pinned_across_criterion_3_roster(self):
+        # SHA-256 over the JSON of every construction of criterion 3's
+        # roster under three strategies; a change in the blocks, their
+        # order, their sigmas or the draw order of a seeded strategy moves it
+        digest = hashlib.sha256()
+        count = 0
+        for spec in ("lowest", "seed:1", "seed:42"):
+            for F in lambda_families():
+                for n in range(1, 8):
+                    for k in range(1, n + 1):
+                        layer = build_layer(F, k, n)
+                        if layer.m > 4 or layer.volume() > 5000:
+                            continue
+                        tiling = construct_tiling(F, k, n, parse_strategy(spec))
+                        digest.update(json.dumps(tiling.to_json_obj(), sort_keys=True).encode())
+                        count += 1
+                for n in range(1, 6):
+                    if build_layer(F, 1, n).volume() > 5000:
+                        continue
+                    for parts in compositions_of(n):
+                        tiling = construct_multi_tiling(F, n, parts, parse_strategy(spec))
+                        digest.update(json.dumps(tiling.to_json_obj(), sort_keys=True).encode())
+                        count += 1
+        assert count == 1668
+        assert digest.hexdigest() == (
+            "b71681c36ed3e06f434d04f88fa1143b54c65a4666a5157c0cc870a7c9702663")
+
     def test_lambda_rule_required(self):
         from cobweb import LambdaRuleError
 
@@ -160,6 +210,18 @@ class TestStrategies:
                 assert tuple(map(len, deal)) == sizes
                 assert all(batch == tuple(sorted(batch)) for batch in deal)
                 assert sorted(v for batch in deal for v in batch) == list(verts)
+
+
+    def test_constructions_leave_no_cyclic_garbage(self):
+        constructions = {
+            "census": lambda: construction_census(Natural(), 3, 5),
+            "seeded plain": lambda: construct_tiling(Natural(), 3, 5, Seeded(1)),
+            "seeded multi": lambda: construct_multi_tiling(Fp(1), 5, (2, 1, 2), Seeded(1)),
+            "exhaustive deals": lambda: list(Exhaustive().assignments(tuple(range(8)),
+                                                                       (2, 2, 2, 2))),
+        }
+        for name, construction in constructions.items():
+            assert cyclic_garbage(construction) == 0, name
 
 
 class TestMultiTiling:
@@ -256,6 +318,53 @@ class TestVerify:
             last = len(tiling.blocks)
             assert f"block {last}: span {(k, n + 1)} mismatches layer" in (
                 verify_tiling(tampered["span"]).violations)
+
+    @pytest.mark.parametrize("cap", [5000, 0])
+    def test_reports_equal_an_always_paired_reference(self, cap):
+        # every corruption of seeded constructions from five families: the
+        # pair pass is skipped only where it finds nothing
+        tilings = [
+            construct_tiling(Natural(), 3, 5, Seeded(1)),
+            construct_tiling(Fp(1), 2, 5, Seeded(2)),
+            construct_tiling(Powers(2), 2, 4, Seeded(3)),
+            construct_tiling(Gaussian(2), 2, 3, Seeded(4)),
+            construct_multi_tiling(Natural(), 5, (2, 1, 2), Seeded(5)),
+            construct_multi_tiling(Fp(2), 4, (1, 3), Seeded(6)),
+        ]
+        rng = random.Random(0)
+        checked = 0
+        for tiling in tilings:
+            k, n = tiling.layer.k, tiling.layer.n
+            sizes = tiling.layer.level_sizes()
+            for i in rng.sample(range(len(tiling.blocks)), min(3, len(tiling.blocks))):
+                block = tiling.blocks[i]
+                blocks = tiling.blocks
+                pos = rng.randrange(len(block.levels))
+                level = block.levels[pos]
+                bad = {
+                    "valid": tiling,
+                    "duplicate": Tiling(tiling.layer, blocks + (block,), tiling.kind, "bad"),
+                    "missing": Tiling(tiling.layer, blocks[:i] + blocks[i + 1:],
+                                      tiling.kind, "bad"),
+                    "repeated vertex": with_level(tiling, i, pos, (level[0],) + level),
+                    "empty level": with_level(tiling, i, pos, ()),
+                    "off-level vertex": with_vertex(tiling, i, pos, level[-1], sizes[pos] + 1),
+                    "re-spanned": Tiling(tiling.layer, blocks[:i] + (
+                        Block((k, n + 1), block.levels, block.sigma),) + blocks[i + 1:],
+                        tiling.kind, "bad"),
+                    "re-spanned copy": Tiling(tiling.layer, blocks + (
+                        Block((k, n + 1), block.levels, block.sigma),), tiling.kind, "bad"),
+                }
+                outside = [v for v in range(1, sizes[pos] + 1) if v not in level]
+                if outside:
+                    bad["moved vertex"] = with_vertex(tiling, i, pos, level[0],
+                                                      rng.choice(outside))
+                for name, corrupted in bad.items():
+                    report = verify_tiling(corrupted, volume_cap=cap)
+                    assert report == always_paired_report(corrupted, cap), name
+                    assert report.valid == (name == "valid"), name
+                    checked += 1
+        assert checked > 100
 
     @pytest.mark.parametrize("cap", [5000, 0])
     def test_vertex_off_level_reported_not_raised(self, cap):
