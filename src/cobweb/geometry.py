@@ -418,8 +418,6 @@ def block_family(
     index_values = shape_values(layer, family)
     seen: dict[tuple, Block] = {}
     for vector, _ in _cardinality_vectors(layer, family):
-        if any(want > size for size, want in zip(sizes, vector)):
-            continue
         sigma = canonical_sigma(index_values, vector)
         choices = [
             itertools.combinations(range(1, size + 1), want)

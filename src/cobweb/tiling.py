@@ -16,12 +16,16 @@ vertices) and at spans starting at 1 (the whole layer is one block).
 A block under construction is a tuple of level tuples in the order of its
 virtual layer: an m_F-batch is appended to its sub-blocks, and the
 sub-blocks of a rotated (k'-1)_F-batch are rotated back, so the blocks of
-the whole layer come out in physical level order.  Each construction
-keeps one plan, the batch sizes of each split it meets, so the lambda
-coefficients are worked out once per split, not once per node.
+the whole layer come out in physical level order.
 
-The multi-block tiler peels the top level of <1 -> n> the same way, one
-batch group per composition part, recursing on the decremented part.
+The multi-block tiler of <1 -> n> over a composition is the same
+recursion with another step: the top level is dealt into lambda_s
+batches of (b_s)_F vertices per part b_s, each finished over the parts
+with b_s decremented, down to one part left (one block).  One generator,
+`_options`, runs both; a step function (`_plain_step`, `_multi_step`)
+gives the batch sizes and sub-states of a split, and each construction
+caches it, so the lambda coefficients are worked out once per split, not
+once per node.
 
 Which vertices go into which batch is the only free choice; it is
 delegated to a ChoiceStrategy.  The exhaustive strategy enumerates every
@@ -212,53 +216,88 @@ def _assemble(layer: Layer, shape: ShapeFamily, raw: list[Levels]) -> tuple[Bloc
     return tuple(blocks)
 
 
-def _full_level(F: FSequence, s: int) -> tuple[int, ...]:
-    return tuple(range(1, term(F, s) + 1))
+def _plain_step(F: FSequence, state: tuple[int, int]) -> Optional[tuple]:
+    """The split of the virtual layer of m levels from span lo, `state` =
+    (lo, m): the batch sizes, and per batch its sub-state and whether it is
+    rotated (the (lo-1)_F-batches are); None at lo = 1, one block."""
+    lo, m = state
+    if lo == 1:
+        return None
+    lam = lambda_split(F, lo - 1, m)
+    sizes = (term(F, m),) * lam.lambda_m + (term(F, lo - 1),) * lam.lambda_k
+    subs = (((lo, m - 1), False),) * lam.lambda_m + (((lo - 1, m), True),) * lam.lambda_k
+    return sizes, subs
 
 
-def _plain_options(
-    F: FSequence, levels: Levels, lo: int, chooser: ChoiceStrategy, plans: dict
+def _multi_step(F: FSequence, parts: tuple[int, ...]) -> Optional[tuple]:
+    """The split of <1 -> sum(parts)> over `parts` (zero parts are spent):
+    the batch sizes, and per batch its sub-state, the parts with its own
+    part decremented, never rotated; None when one part is left, one block."""
+    active = [(i, b) for i, b in enumerate(parts) if b > 0]
+    if len(active) == 1:
+        return None
+    lams = lambda_composition(F, tuple(b for _, b in active))
+    sizes: list[int] = []
+    subs: list[tuple] = []
+    for (idx, b), lam in zip(active, lams):
+        sizes += [term(F, b)] * lam
+        subs += [(parts[:idx] + (b - 1,) + parts[idx + 1:], False)] * lam
+    return tuple(sizes), tuple(subs)
+
+
+def _options(
+    unit: int, levels: Levels, state, step, chooser: ChoiceStrategy
 ) -> Iterator[list[Levels]]:
     """All completions of a virtual layer into full-height blocks.
 
-    `levels` holds the virtual layer's vertex tuples, bottom to top; entry
-    s must hold exactly (lo+s)_F vertices.  Each yielded option is one
-    finished tiling of the virtual layer, a list of blocks given as level
-    tuples in the virtual layer's order: an m_F-batch is appended to the
-    blocks of the sub-layer below it, and the blocks of a (k'-1)_F-batch's
-    virtual layer, which starts with the batch, are rotated to end with
-    it.  `plans` maps (lo, m) to the split's m_F-batch count and batch
-    sizes, computed once per construction.  Options stream lazily; only
-    sub-layer option lists are materialised (they are needed once per
-    batch combination).
+    `levels` holds the virtual layer's vertex tuples, bottom to top, and
+    `step(state)` splits its top level as `_plain_step` or `_multi_step`
+    does.  Each yielded option is one finished tiling of the virtual layer,
+    a list of blocks given as level tuples in the virtual layer's order: a
+    batch is appended to the blocks of the layer below it, and the blocks
+    of a rotated batch's virtual layer, which starts with the batch, are
+    rotated to end with it.  A single level is cut into groups of `unit`,
+    1_F, vertices.  Options stream lazily; only sub-layer option lists are
+    materialised (they are needed once per batch combination).
     """
-    m = len(levels)
-    if m == 1:
+    if len(levels) == 1:
         verts = levels[0]
-        unit = term(F, 1)
         yield [(verts[i:i + unit],) for i in range(0, len(verts), unit)]
         return
-    if lo == 1:
+    plan = step(state)
+    if plan is None:
         yield [levels]
         return
-
-    plan = plans.get((lo, m))
-    if plan is None:
-        lam = lambda_split(F, lo - 1, m)
-        sizes = (term(F, m),) * lam.lambda_m + (term(F, lo - 1),) * lam.lambda_k
-        plan = plans[lo, m] = (lam.lambda_m, sizes)
-    split, sizes = plan
+    sizes, subs = plan
     below = levels[:-1]
     for batches in chooser.assignments(levels[-1], sizes):
         per_batch: list[list[list[Levels]]] = []
-        for batch in batches[:split]:
-            subs = _plain_options(F, below, lo, chooser, plans)
-            per_batch.append([[blk + (batch,) for blk in sub] for sub in subs])
-        for batch in batches[split:]:
-            subs = _plain_options(F, (batch,) + below, lo - 1, chooser, plans)
-            per_batch.append([[blk[1:] + blk[:1] for blk in sub] for sub in subs])
+        for batch, (sub, rotated) in zip(batches, subs):
+            if rotated:
+                options = _options(unit, (batch,) + below, sub, step, chooser)
+                per_batch.append([[blk[1:] + blk[:1] for blk in option] for option in options])
+            else:
+                options = _options(unit, below, sub, step, chooser)
+                per_batch.append([[blk + (batch,) for blk in option] for option in options])
         for combo in itertools.product(*per_batch):
-            yield [blk for sub in combo for blk in sub]
+            yield [blk for option in combo for blk in option]
+
+
+def _layer_options(layer: Layer, step, state, chooser: ChoiceStrategy) -> Iterator[list[Levels]]:
+    """`_options` on the whole layer, its step cached for this construction."""
+    F = layer.F
+    levels = tuple(tuple(range(1, term(F, s) + 1)) for s in range(layer.k, layer.n + 1))
+    cached = lru_cache(maxsize=None)(lambda sub: step(F, sub))
+    return _options(term(F, 1), levels, state, cached, chooser)
+
+
+def _construct(layer: Layer, shape: ShapeFamily, step, state,
+               strategy: Optional[ChoiceStrategy], kind: str) -> Tiling:
+    """The first option of a construction, assembled and labelled."""
+    chooser = _construction_chooser(strategy)
+    first = next(_layer_options(layer, step, state, chooser))
+    label = type(chooser).__name__.lower()
+    return Tiling(layer, _assemble(layer, shape, first), shape, f"{kind}:{label}")
 
 
 def _construction_layer(F: FSequence, k: int, n: int) -> Layer:
@@ -270,29 +309,31 @@ def _construction_layer(F: FSequence, k: int, n: int) -> Layer:
     return layer
 
 
-def _layer_options(F: FSequence, k: int, n: int, chooser: ChoiceStrategy) -> Iterator[list[Levels]]:
-    """`_plain_options` on the whole layer <k -> n>, with a fresh plan."""
-    levels = tuple(_full_level(F, s) for s in range(k, n + 1))
-    return _plain_options(F, levels, k, chooser, {})
-
-
 def construct_tiling(
     F: FSequence, k: int, n: int, strategy: Optional[ChoiceStrategy] = None
 ) -> Tiling:
     """Build one tiling of <k -> n> by the recursive construction."""
     layer = _construction_layer(F, k, n)
-    chooser = _construction_chooser(strategy)
-    first = next(_layer_options(F, k, n, chooser))
-    shape = PlainShape(layer.m)
-    label = type(chooser).__name__.lower()
-    return Tiling(layer, _assemble(layer, shape, first), shape, f"construct:{label}")
+    return _construct(layer, PlainShape(layer.m), _plain_step, (k, layer.m), strategy,
+                      "construct")
+
+
+def construct_multi_tiling(
+    F: FSequence, n: int, parts, strategy: Optional[ChoiceStrategy] = None
+) -> Tiling:
+    """Partition <1 -> n> into multi-blocks over the given composition."""
+    parts = composition(parts)
+    if sum(parts) != n:
+        raise ValueError(f"composition {parts} does not sum to {n}")
+    return _construct(build_layer(F, 1, n), MultiShape(parts), _multi_step, parts, strategy,
+                      "construct-multi")
 
 
 def enumerate_construction_tilings(F: FSequence, k: int, n: int) -> Iterator[Tiling]:
     """One tiling per exhaustive choice sequence, repeats included."""
     layer = _construction_layer(F, k, n)
     shape = PlainShape(layer.m)
-    for option in _layer_options(F, k, n, Exhaustive()):
+    for option in _layer_options(layer, _plain_step, (k, layer.m), Exhaustive()):
         yield Tiling(layer, _assemble(layer, shape, option), shape, "construct:exhaustive")
 
 
@@ -307,68 +348,13 @@ def construction_census(F: FSequence, k: int, n: int, *, limit: int = 1_000_000)
     expected = count_construction_tilings(F, k, n)
     if expected > limit:
         raise CapExceeded(f"{expected} choice sequences exceed limit {limit}")
+    layer = build_layer(F, k, n)
     sequences = 0
     distinct = set()
-    for option in _layer_options(F, k, n, Exhaustive()):
+    for option in _layer_options(layer, _plain_step, (k, layer.m), Exhaustive()):
         sequences += 1
         distinct.add(tuple(sorted(option)))
     return ConstructionCensus(sequences, len(distinct))
-
-
-def _multi_plan(F: FSequence, parts: tuple[int, ...]) -> tuple:
-    """(top level, batch sizes, sub-parts per batch) of the multi step on
-    `parts`, or (the one block, None, None) when one part is left."""
-    n_cur = sum(parts)
-    active = [(i, b) for i, b in enumerate(parts) if b > 0]
-    if len(active) == 1:
-        return tuple(_full_level(F, s) for s in range(1, n_cur + 1)), None, None
-    lams = lambda_composition(F, tuple(b for _, b in active))
-    sizes: list[int] = []
-    subs: list[tuple[int, ...]] = []
-    for (idx, b), lam in zip(active, lams):
-        sizes += [term(F, b)] * lam
-        subs += [parts[:idx] + (b - 1,) + parts[idx + 1:]] * lam
-    return _full_level(F, n_cur), tuple(sizes), tuple(subs)
-
-
-def _multi_options(
-    F: FSequence, parts: tuple[int, ...], chooser: ChoiceStrategy, plans: dict
-) -> Iterator[list[Levels]]:
-    """All completions of <1 -> sum(parts)> into multi-blocks over `parts`
-    (zero parts are spent), each a list of level tuples, bottom to top.
-    The top level is dealt into batches, and each batch is appended to the
-    blocks of the layer one lower over the parts with its own part
-    decremented.  `plans` maps parts to their `_multi_plan`, computed once
-    per construction."""
-    plan = plans.get(parts)
-    if plan is None:
-        plan = plans[parts] = _multi_plan(F, parts)
-    top, sizes, subs = plan
-    if sizes is None:
-        yield [top]
-        return
-    for batches in chooser.assignments(top, sizes):
-        per_batch = [
-            [[blk + (batch,) for blk in sub] for sub in _multi_options(F, smaller, chooser, plans)]
-            for batch, smaller in zip(batches, subs)
-        ]
-        for combo in itertools.product(*per_batch):
-            yield [blk for sub in combo for blk in sub]
-
-
-def construct_multi_tiling(
-    F: FSequence, n: int, parts, strategy: Optional[ChoiceStrategy] = None
-) -> Tiling:
-    """Partition <1 -> n> into multi-blocks over the given composition."""
-    parts = composition(parts)
-    if sum(parts) != n:
-        raise ValueError(f"composition {parts} does not sum to {n}")
-    layer = build_layer(F, 1, n)
-    chooser = _construction_chooser(strategy)
-    first = next(_multi_options(F, parts, chooser, {}))
-    shape = MultiShape(parts)
-    label = type(chooser).__name__.lower()
-    return Tiling(layer, _assemble(layer, shape, first), shape, f"construct-multi:{label}")
 
 
 # ---------------------------------------------------------------------------
@@ -458,24 +444,22 @@ def count_construction_tilings(F: FSequence, k: int, n: int) -> int:
     the number of distinct tilings can be strictly smaller.
     """
     _construction_layer(F, k, n)
-
-    @lru_cache(maxsize=None)
-    def count(lo: int, hi: int) -> int:
-        if lo == hi or lo == 1:
-            return 1
-        m = hi - lo + 1
-        # lambda_split checks that the batch sizes sum to hi_F, so this
-        # quotient is a multinomial coefficient
-        lam = lambda_split(F, lo - 1, m)
-        ways = factorial(term(F, hi)) // (
-            factorial(term(F, m)) ** lam.lambda_m
-            * factorial(term(F, lo - 1)) ** lam.lambda_k
-        )
-        return ways * count(lo, hi - 1) ** lam.lambda_m * count(lo - 1, hi - 1) ** lam.lambda_k
-
-    total = count(k, n)
-    del count  # refers to itself; dropping it frees the cache on return
-    return total
+    # row[lo - 1] = count(lo, lo + d), one row per d = hi - lo, updated in
+    # place with lo ascending: count(lo, hi) reads count(lo, hi - 1) from
+    # the row before and count(lo - 1, hi - 1) from this one
+    row = [1] * k  # count(lo, lo) = 1, and count(1, hi) = 1 stays
+    for d in range(1, n - k + 1):
+        m = d + 1
+        for lo in range(2, k + 1):
+            # lambda_split checks that the batch sizes sum to (lo+d)_F, so
+            # this quotient is a multinomial coefficient
+            lam = lambda_split(F, lo - 1, m)
+            ways = factorial(term(F, lo + d)) // (
+                factorial(term(F, m)) ** lam.lambda_m
+                * factorial(term(F, lo - 1)) ** lam.lambda_k
+            )
+            row[lo - 1] = ways * row[lo - 1] ** lam.lambda_m * row[lo - 2] ** lam.lambda_k
+    return row[k - 1]
 
 
 # ---------------------------------------------------------------------------

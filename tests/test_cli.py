@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 from pathlib import PurePosixPath
 
 import pytest
@@ -266,6 +267,12 @@ class TestCountTilings:
         data = json.loads(out)
         assert rc == 0
         assert data["count"] == 411168 and data["complete"] is True
+
+    def test_formula_past_the_recursion_limit(self, capsys):
+        # <2 -> 1200> is 1199 splits deep; the count is 1200!/2
+        rc, out, err = run(capsys, "count-tilings", "natural", "2", "1200", "--json")
+        assert rc == 0 and err == ""
+        assert json.loads(out)["count"] == math.factorial(1200) // 2
 
     def test_single_level_not_split_by_one(self, capsys):
         # table:[2,3] <2->2> has no tiling: the construction modes refuse it

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -29,8 +30,10 @@ from cobweb import (
     enumerate_all_tilings,
     enumerate_construction_tilings,
     fnomial,
+    lambda_split,
     make_block,
     multi_fnomial,
+    parse_family_spec,
     term,
     tiling_from_json,
     verify_tiling,
@@ -197,6 +200,26 @@ class TestStrategies:
     def test_exhaustive_first_matches_lowest(self):
         first = next(iter(enumerate_construction_tilings(Natural(), 3, 4)))
         assert first.key() == construct_tiling(Natural(), 3, 4, Exhaustive()).key()
+
+    def test_exhaustive_enumeration_pinned(self):
+        # SHA-256 over the JSON of every exhaustive construction of the small
+        # layers of six families; a change in the tilings, their blocks or
+        # the order the choice sequences come in moves it
+        digest = hashlib.sha256()
+        count = 0
+        for spec in ("natural", "fp:p=1", "fp:p=2", "powers:q=2", "gaussian:q=2",
+                     "modgauss:q=2"):
+            F = parse_family_spec(spec)
+            for n in range(1, 7):
+                for k in range(1, n + 1):
+                    if count_construction_tilings(F, k, n) > 3000:
+                        continue
+                    for tiling in enumerate_construction_tilings(F, k, n):
+                        digest.update(json.dumps(tiling.to_json_obj(), sort_keys=True).encode())
+                        count += 1
+        assert count == 9109
+        assert digest.hexdigest() == (
+            "982dad1086749702523dbf1bf378b434ca5986772f26876fe75dd5e3e411df4f")
 
     def test_exhaustive_deals_every_assignment_once_in_order(self):
         # every way to deal the vertices into sorted batches of the sizes,
@@ -492,6 +515,29 @@ class TestConstructionCount:
         for F, k, n in cases:
             census = construction_census(F, k, n, limit=50_000)
             assert census.sequences == count_construction_tilings(F, k, n)
+
+    def test_deep_layer_counts_without_recursion(self):
+        # count(2, n) = n * count(2, n - 1): n vertices dealt into one
+        # batch of n-1 and one of 1, so count(2, n) = n!/2
+        assert count_construction_tilings(Natural(), 2, 1200) == math.factorial(1200) // 2
+
+    def test_equals_the_top_down_recurrence(self):
+        def reference(F, lo, hi):
+            if lo == hi or lo == 1:
+                return 1
+            m = hi - lo + 1
+            lam = lambda_split(F, lo - 1, m)
+            ways = math.factorial(term(F, hi)) // (
+                math.factorial(term(F, m)) ** lam.lambda_m
+                * math.factorial(term(F, lo - 1)) ** lam.lambda_k)
+            return (ways * reference(F, lo, hi - 1) ** lam.lambda_m
+                    * reference(F, lo - 1, hi - 1) ** lam.lambda_k)
+
+        for F in lambda_families():
+            for n in range(1, 7):
+                for k in range(1, n + 1):
+                    if build_layer(F, k, n).volume() <= 5000:
+                        assert count_construction_tilings(F, k, n) == reference(F, k, n)
 
     def test_single_level_not_split_by_one_is_refused(self):
         # table:[2,3] <2->2>: three vertices are no groups of 1_F = 2, so
