@@ -150,7 +150,10 @@ def _size_d_cliques(
     Every subtree with no clique shares the empty node.  A hit replays
     the node under the current prefix, which appends the same cliques in
     the same order as searching it again; each replayed edge is a node,
-    so the budget bounds the work and the output alike.
+    so the budget bounds the work and the output alike.  The sibling loop
+    reads the memo itself and calls `extend` only on a miss, and a replay
+    follows a run of single-edge nodes, `(v, child)` pairs, in one loop,
+    recursing only at a node with two or more edges.
 
     The memo stops growing at about `tiling.MEMO_BYTES`: an entry is
     counted as 128 bytes plus V/8, and a listing entry EDGE_BYTES more per
@@ -179,13 +182,20 @@ def _size_d_cliques(
             nodes += 1
             if nodes > node_budget:
                 raise SearchBudgetExceeded(f"clique search exceeded {node_budget} nodes")
+            clique = base + (v,)
+            while child is not None and len(child) == 2:  # a single-edge node
+                v, child = child
+                nodes += 1
+                if nodes > node_budget:
+                    raise SearchBudgetExceeded(f"clique search exceeded {node_budget} nodes")
+                clique += (v,)
             if child is None:
                 total += 1
-                out.append(base + (v,))
+                out.append(clique)
                 if len(out) == limit:
                     raise _Enough
             else:
-                replay(child, base + (v,))
+                replay(child, clique)
 
     def extend(cand: int, need: int):
         nonlocal total, nodes, states, spent, full
@@ -197,18 +207,14 @@ def _size_d_cliques(
                     raise _Enough
             return None
         table = memo[need]
-        known = table.get(cand)
-        if known is not None:
-            if not collect:
-                total += known
-            elif known:
-                replay(known, tuple(prefix))
-            return known
         before = total
         edges: list = []
         rest = cand
+        left = cand.bit_count()
         need -= 1
-        while rest.bit_count() > need:
+        below = memo[need]
+        while left > need:
+            left -= 1
             nodes += 1
             if nodes > node_budget:
                 raise SearchBudgetExceeded(f"clique search exceeded {node_budget} nodes")
@@ -217,9 +223,15 @@ def _size_d_cliques(
             v = low.bit_length() - 1
             nxt = rest & adjacency[v]
             if nxt.bit_count() >= need:
-                prefix.append(v)
-                child = extend(nxt, need)
-                prefix.pop()
+                child = below.get(nxt)
+                if child is None:
+                    prefix.append(v)
+                    child = extend(nxt, need)
+                    prefix.pop()
+                elif not collect:
+                    total += child
+                elif child:
+                    replay(child, (*prefix, v))
                 if collect and child is not _DEAD:
                     edges += vertex[v], child
         if not collect:

@@ -1,5 +1,6 @@
 """Block graphs, the family-size formula, and the clique picture."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -237,23 +238,51 @@ class TestCliqueSearch:
         assert listed.states == counted.states
         assert listed.nodes >= counted.nodes
 
+    def test_listing_and_count_pinned_on_natural_four_five(self):
+        # cliques, their order and the work of both searches, as first
+        # measured with the DAG memo; natural <4->5> replays most of its
+        # cliques through chains of single-edge nodes
+        graph = build_block_graph(build_layer(Natural(), 4, 5))
+        listed = enumerate_size_d_cliques(graph)
+        assert listed.complete and len(listed.cliques) == 44928
+        assert hashlib.sha256(repr(listed.cliques).encode()).hexdigest() == (
+            "9daccb0977f1efc5c49acda60c9efb6586ce47697bd20480816706d06fa53288")
+        assert (listed.nodes, listed.states) == (416_750, 30_780)
+        counted = count_size_d_cliques(graph)
+        assert (counted.total, counted.complete) == (44928, True)
+        assert (counted.nodes, counted.states) == (275_922, 30_780)
+
+    def test_every_limit_keeps_a_prefix(self):
+        # the search unwinds right after the limit-th clique, wherever it
+        # is found: in the search, in a replay or at the end of a chain
+        graph = build_block_graph(build_layer(Natural(), 3, 4))
+        whole = enumerate_size_d_cliques(graph)
+        assert whole.complete and len(whole.cliques) == 132
+        for limit in range(1, 133):
+            cliques, run = blockgraph_module._size_d_cliques(graph, None, 10**6, limit)
+            assert cliques == list(whole.cliques[:limit]), limit
+            assert run.complete, limit
+
     def test_budget_sweep_keeps_a_prefix(self):
-        # each replayed edge is a node, so a budget anywhere in the listing
-        # stops at the first node over it, with the start of the full list;
-        # where every budget is tried, one more node adds at most one clique
-        for F, k, n, step in [(Natural(), 2, 5, None), (Natural(), 3, 4, 1)]:
+        # each replayed edge is a node, chain links included, so a budget
+        # anywhere in the listing stops at the first node over it, with the
+        # start of the full list; where every budget is tried, one more
+        # node adds at most one clique
+        for F, k, n, count in [(Natural(), 2, 5, 60), (Natural(), 3, 4, None),
+                               (Natural(), 4, 5, 20)]:
             graph = build_block_graph(build_layer(F, k, n))
             whole = enumerate_size_d_cliques(graph)
             assert whole.complete
-            budgets = range(1, whole.nodes, step or whole.nodes // 60)
-            assert len(budgets) >= 50
+            step = whole.nodes // count if count else 1
+            budgets = range(1, whole.nodes, step)
+            assert len(budgets) >= (count or 50)
             found = 0
             for budget in budgets:
                 cut = enumerate_size_d_cliques(graph, node_budget=budget)
                 assert not cut.complete and cut.nodes == budget + 1, budget
                 assert cut.cliques == whole.cliques[:len(cut.cliques)], budget
                 assert len(cut.cliques) <= cut.nodes, budget
-                assert step != 1 or len(cut.cliques) - found <= 1, budget
+                assert count or len(cut.cliques) - found <= 1, budget
                 found = len(cut.cliques)
             assert enumerate_size_d_cliques(graph, node_budget=whole.nodes) == whole
 
