@@ -45,7 +45,7 @@ from math import factorial
 from operator import or_
 from typing import Iterator, Optional
 
-from .errors import CapExceeded, SearchBudgetExceeded, TilingFormatError
+from .errors import CapExceeded, TilingFormatError
 from .fsequence import (
     FSequence,
     composition,
@@ -477,7 +477,10 @@ MEMO_BYTES = 1 << 26
 # SCAN_WORDS 64-bit words of the live-block mask: every path up to about
 # a thousand blocks, 148 paths at 7008 blocks, 8 at 10^5 blocks.  Each
 # path looked at costs a pass over the mask, and on a large family a scan
-# of every path costs more per node than it saves.
+# of every path costs more per node than it saves.  The lowest path is
+# read first; the scan goes on past it, picking the next paths' block
+# masks out of `on_path` in one C-level pass, only while the fewest found
+# is 2 or more.
 SCAN_WORDS = 1 << 14
 
 
@@ -553,17 +556,23 @@ def enumerate_all_tilings(
     drops every block in its clash mask.  It always branches on
     the uncovered path with the fewest live blocks (Knuth's Algorithm X
     rule), looking at only as many of the lowest uncovered paths as
-    SCAN_WORDS allows and taking the lowest on a tie.
+    SCAN_WORDS allows, taking the lowest on a tie and stopping at the
+    first path with fewer than 2.
 
-    Each finished subtree's count is memoised on its covered bitmap,
-    which fixes the live set.  The first `limit` tilings reached are
-    collected; the memo is read only once they are, since a hit skips a
-    subtree's tilings.  The memo stops growing at about MEMO_BYTES;
-    lookups go on, so the count stays exact.
+    The search is one loop over an explicit stack of open nodes, each
+    with its covered bitmap, live mask, the total when it opened and an
+    iterator over its branch blocks, so its depth is not bounded by the
+    interpreter's recursion limit.  Each finished subtree's count is
+    memoised on its covered bitmap when its node closes; the bitmap
+    fixes the live set.  The first `limit` tilings reached are collected;
+    the memo is read only once they are, since a hit skips a subtree's
+    tilings.  The memo stops growing at about MEMO_BYTES; lookups go on,
+    so the count stays exact.
 
-    Every call is a node, memo hits included, and the search stops
-    (complete=False) at the first node over `node_budget`.  The total then
-    counts the tilings of every finished subtree, a lower bound.
+    Every node visited is counted, leaves and memo hits included, and the
+    search stops (complete=False) at the first node over `node_budget`.
+    The total then counts the tilings of every finished subtree, a lower
+    bound.
     """
     volume = layer.volume()
     if volume > volume_cap:
@@ -583,53 +592,64 @@ def enumerate_all_tilings(
     total = 0
     nodes = 0
 
-    def search(covered: int, live: int, chosen: list[int]) -> None:
-        nonlocal total, nodes
+    # open nodes, root first: (covered, live, total before, branch blocks
+    # left); chosen[i] is the block taken at stack[i]
+    stack: list[tuple[int, int, int, Iterator[int]]] = []
+    chosen: list[int] = []
+    covered, live = 0, (1 << len(masks)) - 1
+    while True:
         nodes += 1
         if nodes > node_budget:
-            raise SearchBudgetExceeded(f"exact cover exceeded {node_budget} nodes")
+            break
         if covered == full:
             total += 1
             if len(found) < limit:
                 found.append(tuple(chosen))
-            return
-        if len(found) >= limit:
-            known = memo.get(covered)
-            if known is not None:
-                total += known
-                return
-        before = total
-        branch, fewest = 0, len(masks) + 1
-        rest = ~covered & full
-        scan = scan_paths
-        while rest and fewest > 1 and scan:
-            scan -= 1
+        elif len(found) >= limit and (known := memo.get(covered)) is not None:
+            total += known
+        else:
+            rest = ~covered & full
             low = rest & -rest
-            options = on_path[low.bit_length() - 1] & live
-            size = options.bit_count()
-            if size < fewest:
-                branch, fewest = options, size
-            rest ^= low
-        for b_idx in bits(branch):
-            if not keep[b_idx]:
-                keep[b_idx] = ~_clash_mask(on_path, masks[b_idx])
-            chosen.append(b_idx)
-            search(covered | masks[b_idx], live & keep[b_idx], chosen)
+            branch = on_path[low.bit_length() - 1] & live
+            fewest = branch.bit_count()
+            if fewest > 1:
+                # the uncovered paths past the lowest, in one C-level pass
+                # over the bits of `rest` as 0/1 bytes
+                selectors = bin(rest)[:1:-1].encode().translate(_SELECTORS)
+                window = itertools.islice(itertools.compress(on_path, selectors), 1, scan_paths)
+                for held in window:
+                    options = held & live
+                    size = options.bit_count()
+                    if size < fewest:
+                        branch, fewest = options, size
+                        if size < 2:
+                            break
+            stack.append((covered, live, total, bits(branch)))
+            chosen.append(-1)
+        # climb to the deepest open node with a branch block left, closing
+        # (and memoising) the finished nodes on the way
+        while stack:
+            covered, live, before, pending = stack[-1]
+            b_idx = next(pending, -1)
+            if b_idx >= 0:
+                break
+            stack.pop()
             chosen.pop()
-        if len(memo) < room:
-            memo[covered] = total - before
+            if len(memo) < room:
+                memo[covered] = total - before
+        else:
+            break
+        if not keep[b_idx]:
+            keep[b_idx] = ~_clash_mask(on_path, masks[b_idx])
+        chosen[-1] = b_idx
+        covered |= masks[b_idx]
+        live &= keep[b_idx]
 
-    try:
-        search(0, (1 << len(masks)) - 1, [])
-        complete = True
-    except SearchBudgetExceeded:
-        complete = False
-    del search  # refers to itself; dropping it frees the memo on return
     tilings = tuple(
         Tiling(layer, _sorted_blocks(blocks[i] for i in pick), family, "exhaustive")
         for pick in found
     )
-    return TilingSearchResult(tilings, total, complete, nodes, len(memo))
+    return TilingSearchResult(tilings, total, nodes <= node_budget, nodes, len(memo))
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,14 @@ class TestCountTilings:
         assert rc == 0
         assert data["count"] == 411168 and data["complete"] is True
 
+    def test_exhaustive_past_the_recursion_limit(self, capsys):
+        # one level of 1200 vertices: the one tiling is 1200 blocks deep
+        rc, out, err = run(capsys, "count-tilings", "natural", "1200", "1200",
+                           "--mode", "exhaustive", "--json")
+        data = json.loads(out)
+        assert rc == 0 and err == ""
+        assert data["count"] == 1 and data["complete"] is True
+
     def test_formula_past_the_recursion_limit(self, capsys):
         # <2 -> 1200> is 1199 splits deep; the count is 1200!/2
         rc, out, err = run(capsys, "count-tilings", "natural", "2", "1200", "--json")

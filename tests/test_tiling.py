@@ -637,6 +637,33 @@ class TestExhaustiveOracle:
         with pytest.raises(CapExceeded):
             enumerate_all_tilings(layer, PlainShape(8))
 
+    @pytest.mark.parametrize("F,k,n,scan_words,total,nodes,states", [
+        (Natural(), 2, 6, tiling_module.SCAN_WORDS, 12142, 11_248, 8_384),
+        (Natural(), 4, 5, tiling_module.SCAN_WORDS, 44928, 7_263, 3_155),
+        (Fp(1), 3, 5, tiling_module.SCAN_WORDS, 7176824, 107_566, 53_203),
+        # 70 blocks take 2 words: windows of 2 and 3 paths
+        (Natural(), 4, 5, 4, 44928, 9_911, 4_107),
+        (Natural(), 4, 5, 6, 44928, 9_735, 4_142),
+    ], ids=["natural-2-6", "natural-4-5", "fp1-3-5", "natural-4-5-two-paths",
+            "natural-4-5-three-paths"])
+    def test_branching_rule_pinned(self, monkeypatch, F, k, n, scan_words, total, nodes,
+                                   states):
+        # the work of a count pins the branch path of every node: another
+        # path, tie-break or scan window changes the nodes or the states
+        monkeypatch.setattr(tiling_module, "SCAN_WORDS", scan_words)
+        layer = build_layer(F, k, n)
+        res = enumerate_all_tilings(layer, PlainShape(layer.m), limit=0)
+        assert res.complete and res.total == total
+        assert (res.nodes, res.states) == (nodes, states)
+
+    def test_search_deeper_than_recursion_limit(self):
+        # one level of 1200 vertices: 1200 singleton blocks, one tiling,
+        # found 1200 blocks deep
+        layer = build_layer(Natural(), 1200, 1200)
+        res = enumerate_all_tilings(layer, PlainShape(1), limit=0)
+        assert res.complete and res.total == 1
+        assert (res.nodes, res.states) == (1201, 1200)
+
     @pytest.mark.parametrize("budget", [1, 10])
     def test_budget_stop_keeps_a_prefix(self, budget):
         # the search stops at the first node over the budget, and what it
@@ -711,8 +738,9 @@ class TestExhaustiveOracle:
         assert states is None or res.states == states
 
     def test_searches_leave_no_cyclic_garbage(self):
-        # the search closure refers to itself; dropping it before returning
-        # frees the memo then, not at the next cycle collection
+        # a search closure that refers to itself is dropped before its
+        # function returns, so its memo is freed then, not at the next
+        # cycle collection
         layer = build_layer(Natural(), 2, 5)
         family = PlainShape(layer.m)
         searches = {
