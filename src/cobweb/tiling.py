@@ -472,15 +472,15 @@ def count_construction_tilings(F: FSequence, k: int, n: int) -> int:
 # lookups go on but nothing is added, so counts stay exact.
 MEMO_BYTES = 1 << 26
 
-# `enumerate_all_tilings` looks for the path with the fewest live blocks
-# among the lowest uncovered paths only, as many as it can count in about
-# SCAN_WORDS 64-bit words of the live-block mask: every path up to about
-# a thousand blocks, 148 paths at 7008 blocks, 8 at 10^5 blocks.  Each
+# `enumerate_all_tilings` looks for its branch path among the lowest
+# uncovered paths only, as many as it can count in about SCAN_WORDS
+# 64-bit words of the live-block mask: every path up to about a thousand
+# blocks, 148 paths at 7008 blocks, 8 at 10^5 blocks.  Each
 # path looked at costs a pass over the mask, and on a large family a scan
 # of every path costs more per node than it saves.  The lowest path is
 # read first; the scan goes on past it, picking the next paths' block
 # masks out of `on_path` in one C-level pass, only while the fewest found
-# is 2 or more.
+# is 3 or more.
 SCAN_WORDS = 1 << 14
 
 
@@ -553,11 +553,11 @@ def enumerate_all_tilings(
     (`_clash_mask`), never read from `geometry.overlap_masks`, so this
     oracle stays independent of the clique search.  The search carries
     the live blocks, those disjoint from the covered paths; taking a block
-    drops every block in its clash mask.  It always branches on
-    the uncovered path with the fewest live blocks (Knuth's Algorithm X
-    rule), looking at only as many of the lowest uncovered paths as
-    SCAN_WORDS allows, taking the lowest on a tie and stopping at the
-    first path with fewer than 2.
+    drops every block in its clash mask.  It branches on the first
+    uncovered path with at most 2 live blocks, or else on the one with
+    the fewest (Knuth's Algorithm X rule), looking at only as many of the
+    lowest uncovered paths as SCAN_WORDS allows and taking the lowest on
+    a tie.
 
     The search is one loop over an explicit stack of open nodes, each
     with its covered bitmap, live mask, the total when it opened and an
@@ -612,7 +612,10 @@ def enumerate_all_tilings(
             low = rest & -rest
             branch = on_path[low.bit_length() - 1] & live
             fewest = branch.bit_count()
-            if fewest > 1:
+            # a 2-way branch can only be beaten by a dead end or a forced
+            # move, and scanning on for one costs more than it saves, so
+            # the first path with at most 2 live blocks is taken
+            if fewest > 2:
                 # the uncovered paths past the lowest, in one C-level pass
                 # over the bits of `rest` as 0/1 bytes
                 selectors = bin(rest)[:1:-1].encode().translate(_SELECTORS)
@@ -622,7 +625,7 @@ def enumerate_all_tilings(
                     size = options.bit_count()
                     if size < fewest:
                         branch, fewest = options, size
-                        if size < 2:
+                        if size < 3:
                             break
             stack.append((covered, live, total, bits(branch)))
             chosen.append(-1)
