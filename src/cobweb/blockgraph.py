@@ -88,9 +88,9 @@ def build_block_graph(layer: Layer, *, block_cap: int = DEFAULT_BLOCK_CAP) -> Bl
 @dataclass(frozen=True)
 class CliqueSearchResult:
     """Cliques found, whether the search finished, and its work: `nodes`
-    counts the candidates tried and the memoised edges replayed (see
-    `_size_d_cliques`), `states` the finished subtrees memoised, each a
-    node of the shared DAG of their cliques."""
+    counts the candidates tried, the remainder hits and the memoised
+    edges replayed (see `_size_d_cliques`), `states` the finished
+    subtrees memoised, each a node of the shared DAG of their cliques."""
 
     cliques: tuple[tuple[int, ...], ...]
     complete: bool
@@ -100,7 +100,9 @@ class CliqueSearchResult:
 
 @dataclass(frozen=True)
 class CliqueCountResult:
-    """Number of size-d cliques; a lower bound when complete=False."""
+    """Number of size-d cliques; a lower bound when complete=False.
+    `nodes` counts the candidates tried and the remainder hits, `states`
+    the finished subtrees memoised (see `_size_d_cliques`)."""
 
     total: int
     complete: bool
@@ -154,6 +156,13 @@ def _size_d_cliques(
     reads the memo itself and calls `extend` only on a miss, and a replay
     follows a run of single-edge nodes, `(v, child)` pairs, in one loop,
     recursing only at a node with two or more edges.
+
+    The rest of a sibling loop finds exactly the size-`need` cliques of
+    the candidates left, so after each candidate, while the loop would go
+    on, it looks those up in its own `need`'s dict.  On a hit (a remainder
+    hit, one node) the loop ends: a count adds the entry's number, and a
+    listing replays the entry under the prefix and appends its edges to
+    the node's own, which then stores what the whole loop would have.
 
     The memo stops growing at about `tiling.MEMO_BYTES`: an entry is
     counted as 128 bytes plus V/8, and a listing entry EDGE_BYTES more per
@@ -234,6 +243,19 @@ def _size_d_cliques(
                     replay(child, (*prefix, v))
                 if collect and child is not _DEAD:
                     edges += vertex[v], child
+            if left > need:
+                # the rest of the loop would build the entry of `rest`
+                hit = table.get(rest)
+                if hit is not None:
+                    nodes += 1
+                    if nodes > node_budget:
+                        raise SearchBudgetExceeded(f"clique search exceeded {node_budget} nodes")
+                    if not collect:
+                        total += hit
+                    elif hit:
+                        replay(hit, tuple(prefix))
+                        edges += hit
+                    break
         if not collect:
             entry, cost = total - before, entry_bytes
         elif not edges:

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -240,17 +241,65 @@ class TestCliqueSearch:
 
     def test_listing_and_count_pinned_on_natural_four_five(self):
         # cliques, their order and the work of both searches, as first
-        # measured with the DAG memo; natural <4->5> replays most of its
-        # cliques through chains of single-edge nodes
+        # measured with the DAG memo and the remainder hit (a sibling loop
+        # whose candidates left are a memoised set takes that entry and
+        # ends); natural <4->5> replays most of its cliques through chains
+        # of single-edge nodes
         graph = build_block_graph(build_layer(Natural(), 4, 5))
         listed = enumerate_size_d_cliques(graph)
         assert listed.complete and len(listed.cliques) == 44928
         assert hashlib.sha256(repr(listed.cliques).encode()).hexdigest() == (
             "9daccb0977f1efc5c49acda60c9efb6586ce47697bd20480816706d06fa53288")
-        assert (listed.nodes, listed.states) == (416_750, 30_780)
+        assert (listed.nodes, listed.states) == (269_173, 30_780)
         counted = count_size_d_cliques(graph)
         assert (counted.total, counted.complete) == (44928, True)
-        assert (counted.nodes, counted.states) == (275_922, 30_780)
+        assert (counted.nodes, counted.states) == (126_838, 30_780)
+
+    RANDOM_GRAPHS = [(6, 0.5), (10, 0.5), (14, 0.3), (14, 0.6), (18, 0.25),
+                     (18, 0.5), (18, 0.75), (12, 0.9)]
+
+    @pytest.mark.parametrize("v, density", RANDOM_GRAPHS)
+    def test_random_graphs_match_combinations(self, monkeypatch, v, density):
+        # graphs that are no block graph, where other candidate sets repeat:
+        # at every size up to one past the clique number, the listing is
+        # the lexicographic brute force, the count its length and the first
+        # clique its first; every budget stops at the first node over it
+        # with the start of the list, and a memo with no room changes no list
+        rng = random.Random(f"{v}/{density}")
+        adjacency = [0] * v
+        for a, b in itertools.combinations(range(v), 2):
+            if rng.random() < density:
+                adjacency[a] |= 1 << b
+                adjacency[b] |= 1 << a
+        graph = BlockGraph(None, (None,) * v, tuple(adjacency), 0)
+        listings = []
+        for want in range(v + 1):
+            reference = tuple(
+                combo
+                for combo in itertools.combinations(range(v), want)
+                if all(adjacency[a] >> b & 1 for a, b in itertools.combinations(combo, 2))
+            )
+            listed = enumerate_size_d_cliques(graph, want)
+            assert listed.complete and listed.cliques == reference, want
+            assert find_clique(graph, want) == (reference[0] if reference else None), want
+            counted = count_size_d_cliques(graph, want)
+            assert counted.complete and counted.total == len(reference), want
+            assert listed.states == counted.states, want
+            for budget in range(1, listed.nodes):
+                cut = enumerate_size_d_cliques(graph, want, node_budget=budget)
+                assert not cut.complete and cut.nodes == budget + 1, (want, budget)
+                assert cut.cliques == reference[:len(cut.cliques)], (want, budget)
+            for budget in range(1, counted.nodes):
+                cut = count_size_d_cliques(graph, want, node_budget=budget)
+                assert not cut.complete and cut.nodes == budget + 1, (want, budget)
+                assert cut.total <= len(reference), (want, budget)
+            listings.append(reference)
+            if not reference:
+                break
+        monkeypatch.setattr(tiling_module, "MEMO_BYTES", 0)
+        for want, reference in enumerate(listings):
+            assert enumerate_size_d_cliques(graph, want).cliques == reference, want
+            assert count_size_d_cliques(graph, want).total == len(reference), want
 
     def test_every_limit_keeps_a_prefix(self):
         # the search unwinds right after the limit-th clique, wherever it
