@@ -110,10 +110,6 @@ class CliqueCountResult:
     states: int = 0
 
 
-class _Enough(Exception):
-    """Unwinds the clique search once `limit` cliques are found."""
-
-
 # Bytes a memoised listing entry is counted per edge, on top of the 128
 # plus V/8 of any entry: its two tuple slots and a share of the tuple and
 # of the vertex ints, which every entry shares.  36 to 50 bytes measured
@@ -127,13 +123,43 @@ _DEAD = ()
 _LOST = object()
 
 
+def _replay(node: tuple, base: tuple, out: list, limit: int, nodes: int,
+            node_budget: int) -> int:
+    """Append the cliques of a memoised listing node under the prefix
+    `base` to `out` and return `nodes` plus one per edge replayed, up to
+    the first node over `node_budget` or the `limit`-th clique."""
+    stack = [(base, iter(node))]  # open nodes: (prefix, edge pairs left)
+    while stack:
+        base, pairs = stack.pop()
+        for v in pairs:
+            child = next(pairs)
+            nodes += 1
+            if nodes > node_budget:
+                return nodes
+            clique = base + (v,)
+            while child is not None and len(child) == 2:  # a single-edge node
+                v, child = child
+                nodes += 1
+                if nodes > node_budget:
+                    return nodes
+                clique += (v,)
+            if child is not None:
+                stack += (base, pairs), (clique, iter(child))
+                break
+            out.append(clique)
+            if len(out) == limit:
+                return nodes
+    return nodes
+
+
 def _size_d_cliques(
     graph: BlockGraph, d: Optional[int], node_budget: int, limit: Optional[int]
 ) -> tuple[list[tuple[int, ...]], CliqueCountResult]:
     """Cliques of exactly size d in canonical order, by a depth-first
-    extension over candidates above the last vertex taken: the first
-    `limit` of them (all for limit=0), or none but their number for
-    limit=None, together with the count and the work done.
+    extension over candidates above the last vertex taken, one loop over
+    an explicit stack of open nodes: the first `limit` of them (all for
+    limit=0), or none but their number for limit=None, together with the
+    count and the work done.
 
     A node is one candidate tried as the next vertex of a prefix.  The
     sibling loop stops as soon as the candidates left could no longer
@@ -150,12 +176,11 @@ def _size_d_cliques(
     taken at that level that lead to a clique, in order, each followed by
     its child's node, or by None where the vertex finishes a clique.
     Every subtree with no clique shares the empty node.  A hit replays
-    the node under the current prefix, which appends the same cliques in
-    the same order as searching it again; each replayed edge is a node,
-    so the budget bounds the work and the output alike.  The sibling loop
-    reads the memo itself and calls `extend` only on a miss, and a replay
-    follows a run of single-edge nodes, `(v, child)` pairs, in one loop,
-    recursing only at a node with two or more edges.
+    the node under the current prefix (`_replay`), which appends the same
+    cliques in the same order as searching it again; each replayed edge
+    is a node, so the budget bounds the work and the output alike.  The
+    sibling loop reads the memo itself and opens a node only on a miss,
+    and a replay follows a run of single-edge nodes in one loop.
 
     The rest of a sibling loop finds exactly the size-`need` cliques of
     the candidates left, so after each candidate, while the loop would go
@@ -173,60 +198,47 @@ def _size_d_cliques(
     want = graph.d if d is None else d
     if want < 0:
         raise ValueError(f"clique size must be >= 0, got {want}")
+    collect = limit is not None
+    if not want:  # the empty clique
+        return [()] if collect else [], CliqueCountResult(1, True, 0)
     adjacency = graph.adjacency
     vertex = tuple(range(graph.vertex_count()))  # one int per vertex for every entry
-    collect = limit is not None
     out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
     memo: list[dict] = [{} for _ in range(want + 1)]
     entry_bytes = 128 + graph.vertex_count() // 8
     cap = tiling_module.MEMO_BYTES
     total = nodes = states = spent = 0
     full = False
 
-    def replay(node: tuple, base: tuple) -> None:
-        nonlocal total, nodes
-        pairs = iter(node)
-        for v, child in zip(pairs, pairs):
-            nodes += 1
-            if nodes > node_budget:
-                raise SearchBudgetExceeded(f"clique search exceeded {node_budget} nodes")
-            clique = base + (v,)
-            while child is not None and len(child) == 2:  # a single-edge node
-                v, child = child
+    # the open node: candidates, memo of its need, total at opening, edges,
+    # candidates left, how many, its children's need and their memo
+    cand = rest = (1 << graph.vertex_count()) - 1
+    table, before, edges, left, need = memo[want], 0, [], graph.vertex_count(), want - 1
+    below = memo[need]
+    stack: list[tuple] = []  # the open nodes above it; prefix[i] was taken at stack[i]
+    prefix: list[int] = []
+    while True:
+        while left > need:
+            # the rest of the loop would build the entry of `rest` (on a
+            # node's first candidate that is its own entry, not stored yet)
+            hit = table.get(rest)
+            if hit is not None:
                 nodes += 1
                 if nodes > node_budget:
-                    raise SearchBudgetExceeded(f"clique search exceeded {node_budget} nodes")
-                clique += (v,)
-            if child is None:
-                total += 1
-                out.append(clique)
-                if len(out) == limit:
-                    raise _Enough
-            else:
-                replay(child, clique)
-
-    def extend(cand: int, need: int):
-        nonlocal total, nodes, states, spent, full
-        if not need:
-            total += 1
-            if collect:
-                out.append(tuple(prefix))
-                if len(out) == limit:
-                    raise _Enough
-            return None
-        table = memo[need]
-        before = total
-        edges: list = []
-        rest = cand
-        left = cand.bit_count()
-        need -= 1
-        below = memo[need]
-        while left > need:
+                    break
+                if not collect:
+                    total += hit
+                elif hit:
+                    nodes = _replay(hit, tuple(prefix), out, limit, nodes, node_budget)
+                    if nodes > node_budget or len(out) == limit:
+                        break
+                    edges += hit
+                left = need
+                continue
             left -= 1
             nodes += 1
             if nodes > node_budget:
-                raise SearchBudgetExceeded(f"clique search exceeded {node_budget} nodes")
+                break
             low = rest & -rest
             rest ^= low
             v = low.bit_length() - 1
@@ -234,54 +246,46 @@ def _size_d_cliques(
             if nxt.bit_count() >= need:
                 child = below.get(nxt)
                 if child is None:
-                    prefix.append(v)
-                    child = extend(nxt, need)
-                    prefix.pop()
+                    if need:  # open the node of v
+                        stack.append((cand, table, below, before, edges, rest, left, need))
+                        prefix.append(v)
+                        cand = rest = nxt
+                        table, before, edges, left, need = below, total, [], nxt.bit_count(), need - 1
+                        below = memo[need]
+                        continue
+                    total += 1  # v finishes a clique
+                    if collect:
+                        out.append((*prefix, v))
+                        if len(out) == limit:
+                            break
                 elif not collect:
                     total += child
                 elif child:
-                    replay(child, (*prefix, v))
+                    nodes = _replay(child, (*prefix, v), out, limit, nodes, node_budget)
+                    if nodes > node_budget or len(out) == limit:
+                        break
                 if collect and child is not _DEAD:
                     edges += vertex[v], child
-            if left > need:
-                # the rest of the loop would build the entry of `rest`
-                hit = table.get(rest)
-                if hit is not None:
-                    nodes += 1
-                    if nodes > node_budget:
-                        raise SearchBudgetExceeded(f"clique search exceeded {node_budget} nodes")
-                    if not collect:
-                        total += hit
-                    elif hit:
-                        replay(hit, tuple(prefix))
-                        edges += hit
-                    break
-        if not collect:
-            entry, cost = total - before, entry_bytes
-        elif not edges:
-            entry, cost = _DEAD, entry_bytes
-        elif full:
-            return _LOST
         else:
-            entry, cost = tuple(edges), entry_bytes + EDGE_BYTES * (len(edges) >> 1)
-        if spent + cost <= cap:
-            table[cand] = entry
-            spent += cost
-            states += 1
-        elif edges:
-            full = True
-            return _LOST
-        return entry
-
-    complete = True
-    try:
-        extend((1 << graph.vertex_count()) - 1, want)
-    except _Enough:
-        pass
-    except SearchBudgetExceeded:
-        complete = False
-    del extend, replay  # they refer to themselves; dropping them frees the memo on return
-    return out, CliqueCountResult(total, complete, nodes, states)
+            # the sibling loop is over: memoise the node and close it
+            child = tuple(edges) if edges else _DEAD if collect else total - before
+            cost = entry_bytes + EDGE_BYTES * (len(edges) >> 1)
+            if spent + cost <= cap and not (full and edges):
+                table[cand] = child
+                spent += cost
+                states += 1
+            elif edges:
+                full = True
+                child = _LOST
+            if stack:
+                cand, table, below, before, edges, rest, left, need = stack.pop()
+                v = prefix.pop()
+                if collect and child is not _DEAD:
+                    edges += vertex[v], child
+                continue
+        break  # the root closed, or a limit or a budget stop
+    return out, CliqueCountResult(len(out) if collect else total, nodes <= node_budget,
+                                  nodes, states)
 
 
 def find_clique(
@@ -320,38 +324,40 @@ def count_size_d_cliques(
 def enumerate_maximal_cliques(
     graph: BlockGraph, *, node_budget: int = 5_000_000
 ) -> CliqueSearchResult:
-    """All maximal cliques (Bron-Kerbosch with pivoting), sorted."""
+    """All maximal cliques (Bron-Kerbosch with pivoting), sorted, by one
+    loop over an explicit stack of open nodes."""
     out: list[tuple[int, ...]] = []
     nodes = 0
-
-    def bk(r: list[int], p: int, x: int) -> None:
-        nonlocal nodes
+    # open nodes, root first: (candidates, excluded, branch vertices left, vertex taken)
+    stack: list[tuple] = []
+    p, x = (1 << graph.vertex_count()) - 1, 0
+    while True:
         nodes += 1
         if nodes > node_budget:
-            raise SearchBudgetExceeded(f"clique search exceeded {node_budget} nodes")
+            break
         if p == 0 and x == 0:
-            out.append(tuple(r))
-            return
-        # pivot: candidate with the most neighbours inside p, lowest index wins
-        pivot, best = -1, -1
-        for u in bits(p | x):
-            size = (p & graph.adjacency[u]).bit_count()
-            if size > best:
-                pivot, best = u, size
-        for v in bits(p & ~graph.adjacency[pivot]):
-            r.append(v)
-            bk(r, p & graph.adjacency[v], x & graph.adjacency[v])
-            r.pop()
-            p &= ~(1 << v)
-            x |= 1 << v
-
-    try:
-        bk([], (1 << graph.vertex_count()) - 1, 0)
-        complete = True
-    except SearchBudgetExceeded:
-        complete = False
-    del bk  # refers to itself; dropping it frees `out` on return
-    return CliqueSearchResult(tuple(sorted(out)), complete, nodes)
+            out.append(tuple(frame[3] for frame in stack))
+        else:
+            # pivot: candidate with the most neighbours inside p, lowest index wins
+            pivot, best = -1, -1
+            for u in bits(p | x):
+                size = (p & graph.adjacency[u]).bit_count()
+                if size > best:
+                    pivot, best = u, size
+            stack.append((p, x, bits(p & ~graph.adjacency[pivot]), -1))
+        # climb to the deepest open node with a branch vertex left
+        while stack:
+            p, x, pending, _ = stack[-1]
+            v = next(pending, -1)
+            if v >= 0:
+                break
+            stack.pop()
+        else:
+            break
+        stack[-1] = (p & ~(1 << v), x | 1 << v, pending, v)
+        p &= graph.adjacency[v]
+        x &= graph.adjacency[v]
+    return CliqueSearchResult(tuple(sorted(out)), nodes <= node_budget, nodes)
 
 
 def clique_to_tiling(graph: BlockGraph, clique) -> Tiling:

@@ -445,7 +445,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(_apply_config(argv))
         return args.func(args)
-    except (CobwebError, OSError, ValueError, RecursionError) as exc:
+    except (CobwebError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,7 +25,8 @@ with b_s decremented, down to one part left (one block).  One generator,
 `_options`, runs both; a step function (`_plain_step`, `_multi_step`)
 gives the batch sizes and sub-states of a split, and each construction
 caches it, so the lambda coefficients are worked out once per split, not
-once per node.
+once per node.  `_options` keeps the open virtual layers on an explicit
+stack, so no construction is bounded by the interpreter's recursion limit.
 
 Which vertices go into which batch is the only free choice; it is
 delegated to a ChoiceStrategy.  The exhaustive strategy enumerates every
@@ -104,17 +105,16 @@ class LowestLabels(ChoiceStrategy):
 class Seeded(ChoiceStrategy):
     """Pseudo-random single assignment, reproducible from the seed."""
 
-    def __init__(self, seed: int, _rng: Optional[random.Random] = None):
+    def __init__(self, seed: int):
         self.seed = seed
-        self._rng = _rng
+        self._rng = random.Random(seed)
 
     def fresh(self):
-        return Seeded(self.seed, random.Random(self.seed))
+        return Seeded(self.seed)
 
     def assignments(self, verts, sizes):
-        rng = self._rng if self._rng is not None else random.Random(self.seed)
         shuffled = list(verts)
-        rng.shuffle(shuffled)
+        self._rng.shuffle(shuffled)
         batches = []
         pos = 0
         for size in sizes:
@@ -124,23 +124,29 @@ class Seeded(ChoiceStrategy):
 
 
 class Exhaustive(ChoiceStrategy):
-    """Every ordered batch assignment, lexicographic."""
+    """Every ordered batch assignment: the first batch varies slowest, and
+    each batch is an ascending combination of the vertices left to it."""
 
     def assignments(self, verts, sizes):
-        yield from _deals(tuple(verts), tuple(sizes))
-
-
-def _deals(pool: tuple[int, ...], sizes: tuple[int, ...]) -> Iterator[tuple]:
-    """Every way to deal the pool into ordered batches of these sizes, the
-    first batch varying slowest, each batch an ascending combination."""
-    if not sizes:
-        yield ()
-        return
-    for batch in itertools.combinations(pool, sizes[0]):
-        taken = set(batch)
-        rest = tuple(v for v in pool if v not in taken)
-        for tail in _deals(rest, sizes[1:]):
-            yield (batch,) + tail
+        if not sizes:
+            yield ()
+            return
+        deal: list[tuple[int, ...]] = []  # the batches taken at the open batches
+        # open batches, the first first: (the vertices left to it, its combinations left)
+        stack = [(verts, itertools.combinations(verts, sizes[0]))]
+        while stack:
+            left, batches = stack[-1]
+            batch = next(batches, None)
+            del deal[len(stack) - 1:]
+            if batch is None:
+                stack.pop()
+            elif len(stack) == len(sizes):
+                yield (*deal, batch)
+            else:
+                deal.append(batch)
+                taken = set(batch)
+                rest = tuple(v for v in left if v not in taken)
+                stack.append((rest, itertools.combinations(rest, sizes[len(stack)])))
 
 
 def _construction_chooser(strategy: Optional[ChoiceStrategy]) -> ChoiceStrategy:
@@ -258,29 +264,53 @@ def _options(
     of a rotated batch's virtual layer, which starts with the batch, are
     rotated to end with it.  A single level is cut into groups of `unit`,
     1_F, vertices.  Options stream lazily; only sub-layer option lists are
-    materialised (they are needed once per batch combination).
+    materialised (they are needed once per batch combination).  The open
+    layers wait on an explicit stack, and the chooser is asked depth first.
     """
-    if len(levels) == 1:
-        verts = levels[0]
-        yield [(verts[i:i + unit],) for i in range(0, len(verts), unit)]
-        return
-    plan = step(state)
-    if plan is None:
-        yield [levels]
-        return
-    sizes, subs = plan
-    below = levels[:-1]
-    for batches in chooser.assignments(levels[-1], sizes):
-        per_batch: list[list[list[Levels]]] = []
-        for batch, (sub, rotated) in zip(batches, subs):
-            if rotated:
-                options = _options(unit, (batch,) + below, sub, step, chooser)
-                per_batch.append([[blk[1:] + blk[:1] for blk in option] for option in options])
-            else:
-                options = _options(unit, below, sub, step, chooser)
-                per_batch.append([[blk + (batch,) for blk in option] for option in options])
-        for combo in itertools.product(*per_batch):
-            yield [blk for option in combo for blk in option]
+    # open layers, the whole layer first: [levels below the top, sub-states,
+    # assignments left, the current one, its batches' option lists, options]
+    stack: list[list] = []
+    while True:
+        if len(levels) == 1:
+            verts = levels[0]
+            done = [[(verts[i:i + unit],) for i in range(0, len(verts), unit)]]
+        elif (plan := step(state)) is None:
+            done = [[levels]]
+        else:
+            sizes, subs = plan
+            stack.append([levels[:-1], subs, chooser.assignments(levels[-1], sizes), None, [], []])
+            done = None
+        # hand finished option lists up until a layer needs a batch's options
+        while stack:
+            frame = stack[-1]
+            below, subs, deals, batches, per_batch, options = frame
+            if done is not None:
+                i = len(per_batch)
+                if subs[i][1]:
+                    per_batch.append([[blk[1:] + blk[:1] for blk in option] for option in done])
+                else:
+                    per_batch.append([[blk + (batches[i],) for blk in option] for option in done])
+                done = None
+            if batches is not None:
+                i = len(per_batch)
+                if i < len(batches):
+                    sub, rotated = subs[i]
+                    levels, state = ((batches[i],) + below if rotated else below), sub
+                    break
+                combos = ([blk for option in combo for blk in option]
+                          for combo in itertools.product(*per_batch))
+                if len(stack) == 1:
+                    yield from combos
+                else:
+                    options += combos
+                per_batch.clear()
+            frame[3] = next(deals, None)
+            if frame[3] is None:
+                stack.pop()
+                done = options
+        else:
+            yield from done  # the whole layer's, empty once streamed
+            return
 
 
 def _layer_options(layer: Layer, step, state, chooser: ChoiceStrategy) -> Iterator[list[Levels]]:
@@ -711,27 +741,30 @@ def _parts_from_cardinalities(F: FSequence, n: int, cards: list[int]) -> Optiona
     or None if there is none.
 
     Part b contributes term(1..b), so this searches the partitions of
-    len(cards) into parts of at most n, largest parts first, remembering
-    the states that fail.  Part order is not recoverable and not needed
-    (validation is multiset-based).
+    len(cards) into parts of at most n, largest parts first, on an
+    explicit stack, remembering the states that fail.  Part order is not
+    recoverable and not needed (validation is multiset-based).
     """
     top = min(n, len(cards))
     needs = [Counter(term(F, i) for i in range(1, b + 1)) for b in range(top + 1)]
     failed: set = set()
-
-    def search(left: Counter, most: int) -> Optional[tuple[int, ...]]:
-        if not left:
-            return ()
+    # open states: (values left, key, parts left to try, the part taken)
+    stack: list[tuple] = []
+    left, most = Counter(cards), top
+    while left:
         state = (frozenset(left.items()), most)
         if state not in failed:
-            for b in range(min(left.total(), most), 0, -1):
-                if needs[b] <= left:
-                    rest = search(left - needs[b], b)
-                    if rest is not None:
-                        return (b,) + rest
+            stack.append((left, state, iter(range(min(left.total(), most), 0, -1)), 0))
+        # climb to the deepest open state with a part that fits
+        while stack:
+            left, state, tries, _ = stack[-1]
+            most = next((b for b in tries if needs[b] <= left), 0)
+            if most:
+                break
+            stack.pop()
             failed.add(state)
-        return None
-
-    parts = search(Counter(cards), top)
-    del search  # refers to itself; dropping it frees `failed` on return
-    return parts or None
+        else:
+            return None
+        stack[-1] = (left, state, tries, most)
+        left = left - needs[most]
+    return tuple(frame[3] for frame in stack) or None

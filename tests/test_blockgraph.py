@@ -99,6 +99,17 @@ class TestCliqueSearch:
         res = enumerate_size_d_cliques(graph)
         assert res.complete and len(res.cliques) == 1
 
+    def test_clique_deeper_than_recursion_limit(self):
+        # one level of 1200 vertices: V = d = 1200, and the one clique is
+        # every vertex, 1200 deep
+        graph = build_block_graph(build_layer(Natural(), 1200, 1200))
+        whole = tuple(range(1200))
+        assert find_clique(graph) == whole
+        count = count_size_d_cliques(graph)
+        assert count.complete and count.total == 1
+        listed = enumerate_size_d_cliques(graph)
+        assert listed.complete and listed.cliques == (whole,)
+
     def test_clique_count_equals_tiling_count(self):
         for F, k, n in [(Natural(), 2, 3), (Natural(), 2, 4), (Natural(), 3, 4),
                         (Fp(1), 2, 4), (Fp(1), 3, 4)]:
@@ -383,8 +394,8 @@ class TestCliqueSearch:
         assert count_size_d_cliques(graph).states == 3
 
     def test_searches_leave_no_cyclic_garbage(self):
-        # each search drops its self-referring closures before it returns,
-        # so its memo is freed then, not at the next cycle collection
+        # each search holds its memo in plain locals, so it is freed when
+        # the search returns, not at the next cycle collection
         graph = build_block_graph(build_layer(Natural(), 2, 5))
         searches = {
             "listing": lambda: enumerate_size_d_cliques(graph),

@@ -204,6 +204,31 @@ class TestTileVerifyRender:
         assert rc == 1
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("tile", "tlab:a=0,b=1", "2", "1200"),
+        ("multitile", "tlab:a=0,b=1", "1200", "600,600"),
+    ], ids=["tile", "multitile"])
+    def test_construction_deeper_than_recursion_limit(self, capsys, argv):
+        # every term is 1, so the one block of <2->1200> is built 1199
+        # splits deep, and that over (600, 600) at least 600 splits deep
+        rc, out, err = run(capsys, *argv, "--json")
+        data = json.loads(out)
+        assert rc == 0 and err == ""
+        assert data["blocks"] == 1 and data["valid"] is True
+
+    def test_shape_inference_deeper_than_recursion_limit(self, capsys, tmp_path):
+        # one block of 1200 one-vertex levels on natural <1->1200> is read as
+        # the composition of 1200 ones, found 1200 parts deep; it covers one
+        # path of the layer
+        tiling_file = tmp_path / "t.json"
+        tiling_file.write_text(json.dumps({"family": "natural", "span": [1, 1200], "blocks": [
+            {"span": [1, 1200], "levels": [[1]] * 1200, "sigma": list(range(1, 1201))}]}))
+        rc, out, err = run(capsys, "verify", str(tiling_file), "--json")
+        data = json.loads(out)
+        assert rc == 1 and err == ""
+        assert data["valid"] is False
+        assert any(v.startswith("blocks cover 1 paths") for v in data["violations"])
+
     def test_multitile(self, capsys, tmp_path):
         out_file = tmp_path / "m.json"
         rc, out, _ = run(capsys, "multitile", "natural", "4", "2,2",
@@ -315,11 +340,17 @@ class TestGraph:
 
     @pytest.mark.parametrize("flag", ["--find-clique", "--count-max-cliques"])
     def test_search_deeper_than_recursion_limit(self, capsys, flag):
-        # one level of 1200 vertices: V = d = 1200 single-vertex blocks
-        rc, out, err = run(capsys, "graph", "natural", "1200", "1200", flag)
-        assert rc == 1 and out == ""
-        assert err.startswith("error: maximum recursion depth exceeded")
-        assert err.count("\n") == 1
+        # one level of 1200 vertices: V = d = 1200 single-vertex blocks, all
+        # pairwise adjacent, so the one clique, and the one maximal clique,
+        # is every vertex, 1200 deep
+        rc, out, err = run(capsys, "graph", "natural", "1200", "1200", flag, "--json")
+        data = json.loads(out)
+        assert rc == 0 and err == ""
+        assert data["vertices"] == data["d"] == 1200
+        if flag == "--find-clique":
+            assert data["clique"] == list(range(1200))
+        else:
+            assert data["maximal_cliques"] == 1 and data["complete"] is True
 
 
 class TestErrorsAndConfig:

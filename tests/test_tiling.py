@@ -221,6 +221,12 @@ class TestStrategies:
         assert digest.hexdigest() == (
             "982dad1086749702523dbf1bf378b434ca5986772f26876fe75dd5e3e411df4f")
 
+    def test_exhaustive_deals_deeper_than_recursion_limit(self):
+        # the top level of powers:q=2 <2->11> is dealt into 1024 batches
+        tiling = next(enumerate_construction_tilings(Powers(2), 2, 11))
+        assert len(tiling.blocks) == 1024
+        assert verify_tiling(tiling).valid
+
     def test_exhaustive_deals_every_assignment_once_in_order(self):
         # every way to deal the vertices into sorted batches of the sizes,
         # each once, in lexicographic order
@@ -740,9 +746,8 @@ class TestExhaustiveOracle:
         assert states is None or res.states == states
 
     def test_searches_leave_no_cyclic_garbage(self):
-        # a search closure that refers to itself is dropped before its
-        # function returns, so its memo is freed then, not at the next
-        # cycle collection
+        # each search holds its memo in plain locals, so it is freed when
+        # the search returns, not at the next cycle collection
         layer = build_layer(Natural(), 2, 5)
         family = PlainShape(layer.m)
         searches = {
