@@ -10,8 +10,6 @@ and searches expand candidates in that order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
 
 from .coefficients import fnomial
 from .errors import SearchBudgetExceeded
@@ -26,14 +24,16 @@ from .geometry import (
     build_layer,
     overlap_masks,
 )
+from .record import Record
 from . import tiling as tiling_module
 from .tiling import Tiling, _sorted_blocks, verify_tiling
 
 
-@dataclass(frozen=True)
-class BlockCountReport:
-    pair_count: int
-    distinct_count: int
+class BlockCountReport(Record):
+    __slots__ = _fields = ("pair_count", "distinct_count")
+
+    def __init__(self, pair_count: int, distinct_count: int):
+        self._init(pair_count, distinct_count)
 
 
 def block_count_formula(
@@ -52,8 +52,7 @@ def block_count_formula(
     return BlockCountReport(family.pair_count, len(family.blocks))
 
 
-@dataclass(frozen=True)
-class BlockGraph:
+class BlockGraph(Record):
     """Simple undirected graph on the deduplicated block family.
 
     adjacency[i] is a bitmask over vertex indices; bit j is set exactly
@@ -61,10 +60,11 @@ class BlockGraph:
     must have.
     """
 
-    layer: Layer
-    blocks: tuple[Block, ...]
-    adjacency: tuple[int, ...]
-    d: int
+    __slots__ = _fields = ("layer", "blocks", "adjacency", "d")
+
+    def __init__(self, layer: Layer, blocks: tuple[Block, ...], adjacency: tuple[int, ...],
+                 d: int):
+        self._init(layer, blocks, adjacency, d)
 
     def vertex_count(self) -> int:
         return len(self.blocks)
@@ -85,29 +85,28 @@ def build_block_graph(layer: Layer, *, block_cap: int = DEFAULT_BLOCK_CAP) -> Bl
     return BlockGraph(layer, blocks, adjacency, d)
 
 
-@dataclass(frozen=True)
-class CliqueSearchResult:
+class CliqueSearchResult(Record):
     """Cliques found, whether the search finished, and its work: `nodes`
     counts the candidates tried, the remainder hits and the memoised
     edges replayed (see `_size_d_cliques`), `states` the finished
     subtrees memoised, each a node of the shared DAG of their cliques."""
 
-    cliques: tuple[tuple[int, ...], ...]
-    complete: bool
-    nodes: int
-    states: int = 0
+    __slots__ = _fields = ("cliques", "complete", "nodes", "states")
+
+    def __init__(self, cliques: tuple[tuple[int, ...], ...], complete: bool, nodes: int,
+                 states: int = 0):
+        self._init(cliques, complete, nodes, states)
 
 
-@dataclass(frozen=True)
-class CliqueCountResult:
+class CliqueCountResult(Record):
     """Number of size-d cliques; a lower bound when complete=False.
     `nodes` counts the candidates tried and the remainder hits, `states`
     the finished subtrees memoised (see `_size_d_cliques`)."""
 
-    total: int
-    complete: bool
-    nodes: int
-    states: int = 0
+    __slots__ = _fields = ("total", "complete", "nodes", "states")
+
+    def __init__(self, total: int, complete: bool, nodes: int, states: int = 0):
+        self._init(total, complete, nodes, states)
 
 
 # Bytes a memoised listing entry is counted per edge, on top of the 128
@@ -153,7 +152,7 @@ def _replay(node: tuple, base: tuple, out: list, limit: int, nodes: int,
 
 
 def _size_d_cliques(
-    graph: BlockGraph, d: Optional[int], node_budget: int, limit: Optional[int]
+    graph: BlockGraph, d: int | None, node_budget: int, limit: int | None
 ) -> tuple[list[tuple[int, ...]], CliqueCountResult]:
     """Cliques of exactly size d in canonical order, by a depth-first
     extension over candidates above the last vertex taken, one loop over
@@ -289,8 +288,8 @@ def _size_d_cliques(
 
 
 def find_clique(
-    graph: BlockGraph, d: Optional[int] = None, *, node_budget: int = 2_000_000
-) -> Optional[tuple[int, ...]]:
+    graph: BlockGraph, d: int | None = None, *, node_budget: int = 2_000_000
+) -> tuple[int, ...] | None:
     """First clique of size d in canonical order, or None if none exists.
 
     If the node budget is exhausted before the search is decided,
@@ -306,7 +305,7 @@ def find_clique(
 
 
 def enumerate_size_d_cliques(
-    graph: BlockGraph, d: Optional[int] = None, *, node_budget: int = 5_000_000
+    graph: BlockGraph, d: int | None = None, *, node_budget: int = 5_000_000
 ) -> CliqueSearchResult:
     """All cliques of exactly size d, each reported once, sorted."""
     cliques, run = _size_d_cliques(graph, d, node_budget, 0)
@@ -314,7 +313,7 @@ def enumerate_size_d_cliques(
 
 
 def count_size_d_cliques(
-    graph: BlockGraph, d: Optional[int] = None, *, node_budget: int = 5_000_000
+    graph: BlockGraph, d: int | None = None, *, node_budget: int = 5_000_000
 ) -> CliqueCountResult:
     """Number of cliques of exactly size d, by the same search without
     listing them, so that every finished subtree's count is reused."""

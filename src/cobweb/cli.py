@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING
 
 from .coefficients import (
     check_multi_recurrence,
@@ -37,10 +36,9 @@ from .coefficients import (
 from .errors import DEFAULT_BLOCK_CAP, DEFAULT_VOLUME_CAP, CapExceeded, CobwebError
 from .fsequence import admissibility_checks, is_cobweb_admissible, parse_family_spec, term
 
-# The handlers import `tiling`, `blockgraph`, `geometry` and `render`
-# themselves, so a process loads only the modules its subcommand runs.
-if TYPE_CHECKING:
-    from . import tiling as tl
+# The handlers import `tiling` (as `tl`, the name annotations use),
+# `blockgraph`, `geometry` and `render` themselves, so a process loads
+# only the modules its subcommand runs.
 
 
 def canonical_json(obj) -> str:

@@ -26,16 +26,14 @@ CustomTLambda(...)  user term rule plus user coefficient rules, validated
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional
 
 from .errors import DEFAULT_BLOCK_CAP, CapExceeded, FamilySpecError, LambdaRuleError, TableRangeError
+from .record import Record, _set
 
-
-class LambdaPair(NamedTuple):
-    lambda_k: int
-    lambda_m: int
+LambdaPair = namedtuple("LambdaPair", "lambda_k lambda_m")
 
 
 def composition(parts) -> tuple[int, ...]:
@@ -48,9 +46,21 @@ def composition(parts) -> tuple[int, ...]:
     return parts
 
 
-@dataclass(frozen=True)
-class FSequence:
-    """Base class; concrete families override _term and maybe _lambda."""
+class FSequence(Record):
+    """Base class; concrete families set their fields with `_init`, which
+    computes their hash once, and override _term and maybe _lambda.
+
+    The hash covers the class too, so a named point and its `tlab:`
+    spelling, which are never equal, do not collide in the term caches."""
+
+    __slots__ = ("_hash",)
+
+    def _init(self, *values) -> None:
+        super()._init(*values)
+        _set(self, "_hash", hash((type(self), values)))
+
+    def __hash__(self):
+        return self._hash
 
     def _term(self, n: int) -> int:
         raise NotImplementedError
@@ -65,7 +75,6 @@ class FSequence:
         return self.spec_string()
 
 
-@dataclass(frozen=True)
 class TLambdaAB(FSequence):
     """Two-parameter family with geometric splitting coefficients.
 
@@ -79,11 +88,10 @@ class TLambdaAB(FSequence):
     keeps its own class, so it is not equal to its `tlab:` spelling.
     """
 
-    alpha: int
-    beta: int
-    one: int = 1
+    __slots__ = _fields = ("alpha", "beta", "one")
 
-    def __post_init__(self):
+    def __init__(self, alpha: int, beta: int, one: int = 1):
+        self._init(alpha, beta, one)
         if self.alpha < 0 or self.beta < 0:
             raise FamilySpecError("tlab needs alpha, beta >= 0")
         if self.alpha == 0 and self.beta == 0:
@@ -105,6 +113,8 @@ class TLambdaAB(FSequence):
 
 
 class Natural(TLambdaAB):
+    __slots__ = ()
+
     def __init__(self):
         super().__init__(1, 1, 1)
 
@@ -113,6 +123,8 @@ class Natural(TLambdaAB):
 
 
 class Powers(TLambdaAB):
+    __slots__ = ()
+
     # lambda_M = 0^k = 0: the tiler skips its batch step entirely.
     def __init__(self, q: int = 2):
         if q < 1:
@@ -124,6 +136,8 @@ class Powers(TLambdaAB):
 
 
 class Gaussian(TLambdaAB):
+    __slots__ = ()
+
     def __init__(self, q: int = 2):
         if q < 1:
             raise FamilySpecError("gaussian needs q >= 1")
@@ -134,6 +148,8 @@ class Gaussian(TLambdaAB):
 
 
 class ModifiedGaussian(TLambdaAB):
+    __slots__ = ()
+
     def __init__(self, q: int = 2):
         if q < 1:
             raise FamilySpecError("modgauss needs q >= 1")
@@ -143,13 +159,13 @@ class ModifiedGaussian(TLambdaAB):
         return f"modgauss:q={self.alpha}"
 
 
-@dataclass(frozen=True)
 class Fp(FSequence):
     """Fibonacci-type family: 1_F = 1, 2_F = p, n_F = p*(n-1)_F + (n-2)_F."""
 
-    p: int = 1
+    __slots__ = _fields = ("p",)
 
-    def __post_init__(self):
+    def __init__(self, p: int = 1):
+        self._init(p)
         if self.p < 1:
             raise FamilySpecError("fp needs p >= 1")
 
@@ -169,12 +185,11 @@ class Fp(FSequence):
         return f"fp:p={self.p}"
 
 
-@dataclass(frozen=True)
 class CustomTable(FSequence):
-    terms: tuple[int, ...]
+    __slots__ = _fields = ("terms",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(int(t) for t in self.terms))
+    def __init__(self, terms: tuple[int, ...]):
+        self._init(tuple(int(t) for t in terms))
         if not self.terms or any(t < 1 for t in self.terms):
             raise FamilySpecError("table needs positive entries")
 
@@ -189,7 +204,6 @@ class CustomTable(FSequence):
         return "table:[" + ",".join(map(str, self.terms)) + "]"
 
 
-@dataclass(frozen=True)
 class CustomTLambda(FSequence):
     """User-supplied term rule plus splitting rules.
 
@@ -197,13 +211,12 @@ class CustomTLambda(FSequence):
     k + m <= validated_to; the first failing pair is reported.
     """
 
-    term_rule: Callable[[int], int]
-    lambda_k_rule: Callable[[int, int], int]
-    lambda_m_rule: Callable[[int, int], int]
-    validated_to: int = 12
-    label: str = "custom"
+    __slots__ = _fields = ("term_rule", "lambda_k_rule", "lambda_m_rule", "validated_to", "label")
 
-    def __post_init__(self):
+    def __init__(self, term_rule: Callable[[int], int], lambda_k_rule: Callable[[int, int], int],
+                 lambda_m_rule: Callable[[int, int], int], validated_to: int = 12,
+                 label: str = "custom"):
+        self._init(term_rule, lambda_k_rule, lambda_m_rule, validated_to, label)
         for total in range(2, self.validated_to + 1):
             for k in range(1, total):
                 m = total - k
@@ -315,13 +328,14 @@ def term_via_ones(F: FSequence, n: int) -> int:
     return sum(lams) * term(F, 1)
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(Record):
     """Bounded verdict: admissibility itself quantifies over all n."""
 
-    admissible_up_to_bound: bool
-    first_failure: Optional[tuple[int, int]]
-    bound: int
+    __slots__ = _fields = ("admissible_up_to_bound", "first_failure", "bound")
+
+    def __init__(self, admissible_up_to_bound: bool, first_failure: tuple[int, int] | None,
+                 bound: int):
+        self._init(admissible_up_to_bound, first_failure, bound)
 
 
 def admissibility_checks(n_max: int) -> int:

@@ -18,23 +18,23 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from math import comb, factorial, prod
 from operator import itemgetter
-from typing import Iterator, Optional
 
 from .coefficients import falling_f_factorial
 from .errors import DEFAULT_BLOCK_CAP, DEFAULT_VOLUME_CAP, CapExceeded
 from .fsequence import FSequence, composition, term
+from .record import Record, _set
 
 
-@dataclass(frozen=True)
-class Layer:
+class Layer(Record):
     """Cobweb layer <k -> n>; level s holds vertices 1..s_F."""
 
-    F: FSequence
-    k: int
-    n: int
+    __slots__ = _fields = ("F", "k", "n")
+
+    def __init__(self, F: FSequence, k: int, n: int):
+        self._init(F, k, n)
 
     @property
     def m(self) -> int:
@@ -79,8 +79,7 @@ def point_to_path(layer: Layer, point) -> tuple[int, ...]:
     return point
 
 
-@dataclass(frozen=True)
-class PlainShape:
+class PlainShape(Record):
     """Block shape with level sizes (sigma(1)_F, ..., sigma(m)_F).
 
     Its base vector 1..m is that of the one-part composition (m); a
@@ -88,26 +87,26 @@ class PlainShape:
     family of orientations (used when enumerating).
     """
 
-    m: int
-    sigma: Optional[tuple[int, ...]] = None
+    __slots__ = _fields = ("m", "sigma")
+
+    def __init__(self, m: int, sigma: tuple[int, ...] | None = None):
+        self._init(m, sigma)
 
     def base_vector(self) -> tuple[int, ...]:
         return tuple(range(1, self.m + 1))
 
 
-@dataclass(frozen=True)
-class MultiShape:
+class MultiShape(Record):
     """Multi-block shape over a composition (b_1, ..., b_k) of n.
 
     The base cardinality vector is 1..b_1, 1..b_2, ..., 1..b_k; sigma
     permutes its n entries (None = the whole family).
     """
 
-    parts: tuple[int, ...]
-    sigma: Optional[tuple[int, ...]] = None
+    __slots__ = _fields = ("parts", "sigma")
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", composition(self.parts))
+    def __init__(self, parts: tuple[int, ...], sigma: tuple[int, ...] | None = None):
+        self._init(composition(parts), sigma)
 
     def base_vector(self) -> tuple[int, ...]:
         out: list[int] = []
@@ -119,8 +118,7 @@ class MultiShape:
 ShapeFamily = PlainShape | MultiShape
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Record):
     """One (multi-)block: a vertex subset per level, bottom to top.
 
     Identity, ordering and hashing use only (span, levels); sigma is
@@ -128,9 +126,19 @@ class Block:
     terms let distinct orientations produce identical vertex data.
     """
 
-    span: tuple[int, int]
-    levels: tuple[tuple[int, ...], ...]
-    sigma: tuple[int, ...] = field(compare=False)
+    __slots__ = _fields = ("span", "levels", "sigma")
+
+    def __init__(self, span: tuple[int, int], levels: tuple[tuple[int, ...], ...],
+                 sigma: tuple[int, ...]):
+        _set(self, "span", span)
+        _set(self, "levels", levels)
+        _set(self, "sigma", sigma)
+
+    def _key(self):
+        return self.span, self.levels
+
+    def __hash__(self):
+        return hash((self.span, self.levels))
 
     def path_count(self) -> int:
         return prod(map(len, self.levels))
@@ -397,10 +405,11 @@ def pair_count(layer: Layer, family: ShapeFamily) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class BlockFamily:
-    blocks: tuple[Block, ...]
-    pair_count: int
+class BlockFamily(Record):
+    __slots__ = _fields = ("blocks", "pair_count")
+
+    def __init__(self, blocks: tuple[Block, ...], pair_count: int):
+        self._init(blocks, pair_count)
 
 
 def block_family(

@@ -9,7 +9,7 @@ for single-level blocks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 
 PALETTE = (
@@ -18,13 +18,12 @@ PALETTE = (
 )
 
 
-@dataclass(frozen=True)
-class RenderStyle:
-    dx: int = 40
-    dy: int = 60
-    radius: int = 6
-    margin: int = 40
-    palette: tuple[str, ...] = PALETTE
+class RenderStyle(Record):
+    __slots__ = _fields = ("dx", "dy", "radius", "margin", "palette")
+
+    def __init__(self, dx: int = 40, dy: int = 60, radius: int = 6, margin: int = 40,
+                 palette: tuple[str, ...] = PALETTE):
+        self._init(dx, dy, radius, margin, palette)
 
 
 def _positions(span, level_sizes, style):

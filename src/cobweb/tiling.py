@@ -40,11 +40,10 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import lru_cache, reduce
 from math import factorial
 from operator import or_
-from typing import Iterator, Optional
 
 from .errors import CapExceeded, TilingFormatError
 from .fsequence import (
@@ -73,6 +72,7 @@ from .geometry import (
     path_masks,
     shape_values,
 )
+from .record import Record
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ class Exhaustive(ChoiceStrategy):
                 stack.append((rest, itertools.combinations(rest, sizes[len(stack)])))
 
 
-def _construction_chooser(strategy: Optional[ChoiceStrategy]) -> ChoiceStrategy:
+def _construction_chooser(strategy: ChoiceStrategy | None) -> ChoiceStrategy:
     """Fresh chooser for one construction, lowest labels by default.  A
     construction keeps only the first choice sequence, and the exhaustive
     strategy's first is the lowest-labels one, so that is used instead."""
@@ -176,12 +176,12 @@ def parse_strategy(text: str) -> ChoiceStrategy:
 # Tilings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Tiling:
-    layer: Layer
-    blocks: tuple[Block, ...]
-    kind: ShapeFamily
-    provenance: str
+class Tiling(Record):
+    __slots__ = _fields = ("layer", "blocks", "kind", "provenance")
+
+    def __init__(self, layer: Layer, blocks: tuple[Block, ...], kind: ShapeFamily,
+                 provenance: str):
+        self._init(layer, blocks, kind, provenance)
 
     def key(self) -> tuple:
         """Block-set identity, independent of sigma and provenance."""
@@ -222,7 +222,7 @@ def _assemble(layer: Layer, shape: ShapeFamily, raw: list[Levels]) -> tuple[Bloc
     return tuple(blocks)
 
 
-def _plain_step(F: FSequence, state: tuple[int, int]) -> Optional[tuple]:
+def _plain_step(F: FSequence, state: tuple[int, int]) -> tuple | None:
     """The split of the virtual layer of m levels from span lo, `state` =
     (lo, m): the batch sizes, and per batch its sub-state and whether it is
     rotated (the (lo-1)_F-batches are); None at lo = 1, one block."""
@@ -235,7 +235,7 @@ def _plain_step(F: FSequence, state: tuple[int, int]) -> Optional[tuple]:
     return sizes, subs
 
 
-def _multi_step(F: FSequence, parts: tuple[int, ...]) -> Optional[tuple]:
+def _multi_step(F: FSequence, parts: tuple[int, ...]) -> tuple | None:
     """The split of <1 -> sum(parts)> over `parts` (zero parts are spent):
     the batch sizes, and per batch its sub-state, the parts with its own
     part decremented, never rotated; None when one part is left, one block."""
@@ -322,7 +322,7 @@ def _layer_options(layer: Layer, step, state, chooser: ChoiceStrategy) -> Iterat
 
 
 def _construct(layer: Layer, shape: ShapeFamily, step, state,
-               strategy: Optional[ChoiceStrategy], kind: str) -> Tiling:
+               strategy: ChoiceStrategy | None, kind: str) -> Tiling:
     """The first option of a construction, assembled and labelled."""
     chooser = _construction_chooser(strategy)
     first = next(_layer_options(layer, step, state, chooser))
@@ -340,7 +340,7 @@ def _construction_layer(F: FSequence, k: int, n: int) -> Layer:
 
 
 def construct_tiling(
-    F: FSequence, k: int, n: int, strategy: Optional[ChoiceStrategy] = None
+    F: FSequence, k: int, n: int, strategy: ChoiceStrategy | None = None
 ) -> Tiling:
     """Build one tiling of <k -> n> by the recursive construction."""
     layer = _construction_layer(F, k, n)
@@ -349,7 +349,7 @@ def construct_tiling(
 
 
 def construct_multi_tiling(
-    F: FSequence, n: int, parts, strategy: Optional[ChoiceStrategy] = None
+    F: FSequence, n: int, parts, strategy: ChoiceStrategy | None = None
 ) -> Tiling:
     """Partition <1 -> n> into multi-blocks over the given composition."""
     parts = composition(parts)
@@ -367,10 +367,11 @@ def enumerate_construction_tilings(F: FSequence, k: int, n: int) -> Iterator[Til
         yield Tiling(layer, _assemble(layer, shape, option), shape, "construct:exhaustive")
 
 
-@dataclass(frozen=True)
-class ConstructionCensus:
-    sequences: int
-    distinct: int
+class ConstructionCensus(Record):
+    __slots__ = _fields = ("sequences", "distinct")
+
+    def __init__(self, sequences: int, distinct: int):
+        self._init(sequences, distinct)
 
 
 def construction_census(F: FSequence, k: int, n: int, *, limit: int = 1_000_000) -> ConstructionCensus:
@@ -391,10 +392,11 @@ def construction_census(F: FSequence, k: int, n: int, *, limit: int = 1_000_000)
 # Verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerificationReport:
-    valid: bool
-    violations: tuple[str, ...]
+class VerificationReport(Record):
+    __slots__ = _fields = ("valid", "violations")
+
+    def __init__(self, valid: bool, violations: tuple[str, ...]):
+        self._init(valid, violations)
 
 
 def verify_tiling(tiling: Tiling, *, volume_cap: int = DEFAULT_VOLUME_CAP) -> VerificationReport:
@@ -548,8 +550,7 @@ def _clash_mask(on_path: list[int], mask: int) -> int:
     return reduce(or_, itertools.compress(on_path, selectors), 0)
 
 
-@dataclass(frozen=True)
-class TilingSearchResult:
+class TilingSearchResult(Record):
     """Outcome of the exact-cover search.
 
     `complete` means the whole search space was traversed: the total is
@@ -557,11 +558,11 @@ class TilingSearchResult:
     the number of subtree counts the search memoised.
     """
 
-    tilings: tuple[Tiling, ...]
-    total: int
-    complete: bool
-    nodes: int
-    states: int = 0
+    __slots__ = _fields = ("tilings", "total", "complete", "nodes", "states")
+
+    def __init__(self, tilings: tuple[Tiling, ...], total: int, complete: bool, nodes: int,
+                 states: int = 0):
+        self._init(tilings, total, complete, nodes, states)
 
 
 def enumerate_all_tilings(
@@ -712,7 +713,7 @@ def tiling_from_json(obj) -> Tiling:
     return Tiling(layer, blocks, kind, obj.get("provenance", ""))
 
 
-def _ints(value, length: Optional[int] = None) -> bool:
+def _ints(value, length: int | None = None) -> bool:
     """Whether a JSON value is a list of integers (of the given length)."""
     return isinstance(value, list) and length in (None, len(value)) and all(
         type(v) is int for v in value)
@@ -736,7 +737,7 @@ def _check_tiling_json(obj) -> None:
         need(_ints(block.get("sigma")), f'block {i}: "sigma" must be a list of integers')
 
 
-def _parts_from_cardinalities(F: FSequence, n: int, cards: list[int]) -> Optional[tuple[int, ...]]:
+def _parts_from_cardinalities(F: FSequence, n: int, cards: list[int]) -> tuple[int, ...] | None:
     """A composition whose base vector has these term values as a multiset,
     or None if there is none.
 

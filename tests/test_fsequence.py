@@ -317,3 +317,73 @@ class TestNamedPoints:
         if name != "natural":
             with pytest.raises(FamilySpecError, match=f"^{re.escape(zero_error)}$"):
                 type(F)(0)
+
+
+class TestFamilyRecords:
+    """Families are immutable values, equal only within one class."""
+
+    def test_equal_instances_share_a_hash(self):
+        assert Natural() == Natural() and hash(Natural()) == hash(Natural())
+        assert Fp(2) == Fp(2) and hash(Fp(2)) == hash(Fp(2)) and Fp(2) != Fp(3)
+
+    def test_a_named_point_keeps_its_own_cache_entry(self):
+        assert Natural() != TLambdaAB(1, 1, 1)
+        assert Powers(2) != TLambdaAB(2, 0, 2)
+        term.cache_clear()
+        for F in (Natural(), TLambdaAB(1, 1, 1), Powers(2), TLambdaAB(2, 0, 2)):
+            term(F, 3)
+        term(Natural(), 3)
+        info = term.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 4, 4)
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        for record, name in (
+            (Natural(), "alpha"), (Powers(2), "beta"), (Gaussian(2), "one"),
+            (ModifiedGaussian(2), "alpha"), (TLambdaAB(1, 2), "beta"), (Fp(), "p"),
+            (CustomTable((1, 2)), "terms"), (is_cobweb_admissible(Natural(), 3), "bound"),
+            (CustomTLambda(lambda n: n, lambda k, m: 1, lambda k, m: 1), "label"),
+        ):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+
+    def test_constructor_defaults(self):
+        assert (TLambdaAB(2, 3).one, Fp().p) == (1, 1)
+        F = CustomTLambda(lambda n: n, lambda k, m: 1, lambda k, m: 1)
+        assert (F.validated_to, F.label) == (12, "custom")
+        report = is_cobweb_admissible(Natural(), 4)
+        assert (report.admissible_up_to_bound, report.first_failure, report.bound) == (
+            True, None, 4)
+
+    def test_construction_checks_keep_their_messages(self):
+        for make, error, message in (
+            (lambda: TLambdaAB(0, 0), FamilySpecError, "tlab with alpha = beta = 0 has zero terms"),
+            (lambda: TLambdaAB(-1, 1), FamilySpecError, "tlab needs alpha, beta >= 0"),
+            (lambda: TLambdaAB(1, 1, 0), FamilySpecError, "tlab needs 1_F >= 1"),
+            (lambda: Fp(0), FamilySpecError, "fp needs p >= 1"),
+            (lambda: CustomTable((1, 0, 2)), FamilySpecError, "table needs positive entries"),
+            (lambda: CustomTLambda(lambda n: n, lambda k, m: 2, lambda k, m: 1, 5, "bad"),
+             LambdaRuleError, "bad: split identity fails at (k=1, m=1)"),
+        ):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                make()
+
+    def test_table_terms_are_ints(self):
+        F = CustomTable(["1", 2.0, 5])
+        assert F.terms == (1, 2, 5) and all(type(t) is int for t in F.terms)
+        assert F == CustomTable((1, 2, 5)) and hash(F) == hash(CustomTable((1, 2, 5)))
+
+    def test_copies_and_pickles_are_equal(self):
+        import copy
+        import pickle
+
+        from cobweb import build_layer, construct_tiling
+
+        tiling = construct_tiling(Fp(2), 2, 3)
+        for record in (Natural(), Powers(3), CustomTable((1, 2)), build_layer(Fp(2), 2, 3),
+                       tiling, tiling.blocks[0]):
+            for again in (copy.copy(record), copy.deepcopy(record),
+                          pickle.loads(pickle.dumps(record))):
+                assert again == record and hash(again) == hash(record)
+                assert type(again) is type(record) and repr(again) == repr(record)

@@ -334,3 +334,69 @@ class TestBlockJson:
         again = block_from_json(block.to_json_obj())
         assert again == block
         assert again.sigma == block.sigma
+
+
+class TestRecords:
+    """Layers, shapes, blocks and the result records are immutable values."""
+
+    def test_block_identity_ignores_sigma(self):
+        from cobweb import Block
+
+        a = Block((1, 2), ((1,), (1, 2)), (1, 2))
+        b = Block((1, 2), ((1,), (1, 2)), (2, 1))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Block((1, 2), ((1,), (2, 1)), (1, 2))
+        assert a != Block((2, 3), ((1,), (1, 2)), (1, 2))
+
+    def test_equality_within_one_class(self):
+        assert build_layer(Natural(), 2, 3) == build_layer(Natural(), 2, 3)
+        assert build_layer(Natural(), 2, 3) != build_layer(Gaussian(1), 2, 3)
+        assert PlainShape(2) == PlainShape(2) and hash(PlainShape(2)) == hash(PlainShape(2))
+        assert PlainShape(2) != MultiShape((2,))
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        from cobweb import (
+            block_count_formula, build_block_graph, construct_tiling, construction_census,
+            count_size_d_cliques, enumerate_all_tilings, enumerate_size_d_cliques,
+            verify_tiling,
+        )
+        from cobweb.render import RenderStyle
+
+        layer = build_layer(Natural(), 2, 3)
+        family = block_family(layer, PlainShape(2))
+        tiling = construct_tiling(Natural(), 2, 3)
+        graph = build_block_graph(layer)
+        for record, name in (
+            (layer, "k"), (PlainShape(2), "m"), (MultiShape((2, 1)), "parts"),
+            (family.blocks[0], "levels"), (family, "pair_count"), (tiling, "blocks"),
+            (construction_census(Natural(), 2, 3), "distinct"),
+            (verify_tiling(tiling), "valid"),
+            (enumerate_all_tilings(layer, PlainShape(2), limit=1), "total"),
+            (block_count_formula(Natural(), 2, 3), "pair_count"), (graph, "d"),
+            (enumerate_size_d_cliques(graph), "cliques"),
+            (count_size_d_cliques(graph), "total"), (RenderStyle(), "dx"),
+        ):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+
+    def test_constructor_defaults(self):
+        from cobweb.blockgraph import CliqueCountResult, CliqueSearchResult
+        from cobweb.render import PALETTE, RenderStyle
+        from cobweb.tiling import TilingSearchResult
+
+        assert PlainShape(3).sigma is None and MultiShape((2, 1)).sigma is None
+        assert TilingSearchResult((), 0, True, 1).states == 0
+        assert CliqueSearchResult((), True, 1).states == 0
+        assert CliqueCountResult(0, True, 1).states == 0
+        style = RenderStyle()
+        assert (style.dx, style.dy, style.radius, style.margin, style.palette) == (
+            40, 60, 6, 40, PALETTE)
+        assert RenderStyle(dx=10).dx == 10 and RenderStyle(dx=10) != style
+
+    def test_multi_shape_parts_are_normalised(self):
+        shape = MultiShape([2, "1"])
+        assert shape.parts == (2, 1) and shape == MultiShape((2, 1))
+        with pytest.raises(ValueError, match="composition parts must be >= 1"):
+            MultiShape((2, 0))

@@ -71,14 +71,14 @@ class TestPublicNames:
             exec("from cobweb import no_such_name", {})
 
 
-def cobweb_modules(cwd, *argv):
-    """Run `cobweb ARGV` in a fresh interpreter and return the cobweb
-    modules it loaded."""
+def loaded_modules(cwd, *argv):
+    """Run `cobweb ARGV` in a fresh interpreter without `site` (so no `.pth`
+    file imports anything first) and return the modules it loaded."""
     probe = ("import json, sys\n"
              "from cobweb.cli import main\n"
              "main(sys.argv[1:])\n"
-             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('cobweb'))))")
-    proc = subprocess.run([sys.executable, "-c", probe, *argv], cwd=cwd,
+             "print(json.dumps(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, *argv], cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -93,16 +93,25 @@ class TestImportBoundary:
         ("admissible", "fp:p=2", "--max", "12"),
     ], ids=lambda argv: argv[0])
     def test_number_commands_load_no_layer_modules(self, tmp_path, argv):
-        loaded = cobweb_modules(tmp_path, *argv)
+        loaded = loaded_modules(tmp_path, *argv)
         assert "cobweb.fsequence" in loaded
         assert not loaded & HEAVY
 
     def test_verify_loads_no_block_graph(self, tmp_path):
         tiling = construct_tiling(Natural(), 2, 3).to_json_obj()
         (tmp_path / "t.json").write_text(json.dumps(tiling), encoding="utf-8")
-        loaded = cobweb_modules(tmp_path, "verify", "t.json")
+        loaded = loaded_modules(tmp_path, "verify", "t.json")
         assert "cobweb.tiling" in loaded
         assert "cobweb.blockgraph" not in loaded
+
+    @pytest.mark.parametrize("argv", [
+        ("seq", "natural"),
+        ("tile", "natural", "2", "4"),
+        ("graph", "natural", "2", "3", "--find-clique"),
+    ], ids=lambda argv: argv[0])
+    def test_commands_load_no_dataclasses_inspect_or_typing(self, tmp_path, argv):
+        # records are plain `__slots__` classes and annotations are lazy
+        assert not loaded_modules(tmp_path, *argv) & {"dataclasses", "inspect", "typing"}
 
     def test_package_import_loads_no_submodule(self, tmp_path):
         # a submodule is still an attribute of the package, loaded on first use
