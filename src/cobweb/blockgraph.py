@@ -22,11 +22,12 @@ from .geometry import (
     bits,
     block_family,
     build_layer,
+    family_size,
     overlap_masks,
 )
 from .record import Record
 from . import tiling as tiling_module
-from .tiling import Tiling, _sorted_blocks, verify_tiling
+from .tiling import Tiling, verify_tiling
 
 
 class BlockCountReport(Record):
@@ -39,21 +40,19 @@ class BlockCountReport(Record):
 def block_count_formula(
     F: FSequence, k: int, n: int, *, block_cap: int = DEFAULT_BLOCK_CAP
 ) -> BlockCountReport:
-    """Size of the block family of <k -> n>, in both counting semantics.
-
-    The pair count (`geometry.pair_count`) sums, over all orientation
-    permutations of the m block levels, the ways to choose the level
-    subsets; when the sequence repeats terms, distinct orientations can
-    describe the same vertex data, so the deduplicated count can be
-    smaller.
-    """
+    """Size of the block family of <k -> n>, in both counting semantics,
+    by the formulas of `geometry.family_size`, building no block: the
+    pair count sums, over all orientation permutations of the m block
+    levels, the ways to choose the level subsets; repeated terms let
+    distinct orientations describe the same vertex data, so the distinct
+    count can be smaller."""
     layer = build_layer(F, k, n)
-    family = block_family(layer, PlainShape(layer.m), block_cap=block_cap)
-    return BlockCountReport(family.pair_count, len(family.blocks))
+    _, pairs, distinct = family_size(layer, PlainShape(layer.m), block_cap=block_cap)
+    return BlockCountReport(pairs, distinct)
 
 
 class BlockGraph(Record):
-    """Simple undirected graph on the deduplicated block family.
+    """Simple undirected graph on the blocks of `block_family`.
 
     adjacency[i] is a bitmask over vertex indices; bit j is set exactly
     when blocks i and j are max-disjoint.  d is the clique size a tiling
@@ -366,7 +365,7 @@ def clique_to_tiling(graph: BlockGraph, clique) -> Tiling:
         for b in clique[i + 1:]:
             if not (graph.adjacency[a] >> b) & 1:
                 raise ValueError(f"vertices {a} and {b} are not adjacent")
-    blocks = _sorted_blocks(graph.blocks[v] for v in clique)
+    blocks = tuple(graph.blocks[v] for v in clique)  # the graph's blocks are sorted
     return Tiling(graph.layer, blocks, PlainShape(graph.layer.m), "clique")
 
 

@@ -297,7 +297,14 @@ def cmd_render(args) -> int:
     from .render import RenderStyle, render_tiling_svg
 
     obj = json.loads(_read_file(args.file))
-    sizes = tl.tiling_from_json(obj).layer.level_sizes()
+    layer = tl.tiling_from_json(obj).layer
+    sizes, total = [], 0  # refused at the first level past --cap-vertices
+    for s in range(layer.k, layer.n + 1):
+        sizes.append(term(layer.F, s))
+        total += sizes[-1]
+        if total > args.cap_vertices:
+            raise CapExceeded(f"layer has {total} vertices by level {s}, "
+                              f"over the cap {args.cap_vertices}")
     style = RenderStyle(dx=args.dx, dy=args.dy, radius=args.radius)
     svg = render_tiling_svg(obj, sizes, style)
     _write_file(args.out, svg)

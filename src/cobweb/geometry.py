@@ -393,16 +393,48 @@ def _cardinality_vectors(layer: Layer, family: ShapeFamily) -> list[tuple[tuple[
     return vectors
 
 
-def pair_count(layer: Layer, family: ShapeFamily) -> int:
-    """Number of (sigma, subsets) pairs, counting duplicate vertex data."""
-    total = 0
+def family_size(layer: Layer, family: ShapeFamily, *,
+                block_cap: int = DEFAULT_BLOCK_CAP) -> tuple[list[tuple[int, ...]], int, int]:
+    """The fitting cardinality vectors of a shape family, and its numbers
+    of (sigma, subsets) pairs and of distinct blocks, refused with
+    CapExceeded over `block_cap` pairs.  A vector has prod C(size, want)
+    subset choices, once per sigma giving it among the pairs; a block's
+    level sizes are its vector, so the distinct blocks are the choices
+    taken once per vector."""
     sizes = layer.level_sizes()
+    vectors = []
+    pairs = distinct = 0
     for vector, weight in _cardinality_vectors(layer, family):
-        product = 1
-        for size, want in zip(sizes, vector):
-            product *= comb(size, want)
-        total += weight * product
-    return total
+        choices = prod(map(comb, sizes, vector))
+        vectors.append(vector)
+        pairs += weight * choices
+        distinct += choices
+    if pairs > block_cap:
+        raise CapExceeded(f"{pairs} (sigma, subsets) pairs exceed cap {block_cap}")
+    return vectors, pairs, distinct
+
+
+# A block under construction: its vertex tuples, one per level of the
+# (virtual) layer it tiles, bottom to top.
+Levels = tuple[tuple[int, ...], ...]
+
+
+def assemble_blocks(layer: Layer, shape: ShapeFamily, raw: list[Levels]) -> tuple[Block, ...]:
+    """Blocks from level tuples in physical order, sorted, each with its
+    canonical sigma over the shape's base vector, found once per distinct
+    cardinality vector.  It decides no block: the constructions and
+    `block_family` hand it theirs."""
+    values = shape_values(layer, shape)
+    span = (layer.k, layer.n)
+    sigmas: dict[tuple[int, ...], tuple[int, ...]] = {}
+    blocks = []
+    for levels in sorted(raw):
+        cards = tuple(map(len, levels))
+        sigma = sigmas.get(cards)
+        if sigma is None:
+            sigma = sigmas[cards] = canonical_sigma(values, cards)
+        blocks.append(Block(span, levels, sigma))
+    return tuple(blocks)
 
 
 class BlockFamily(Record):
@@ -415,26 +447,12 @@ class BlockFamily(Record):
 def block_family(
     layer: Layer, family: ShapeFamily, *, block_cap: int = DEFAULT_BLOCK_CAP
 ) -> BlockFamily:
-    """All distinct blocks of the family, canonically ordered.
-
-    Distinctness is by level subsets; the pair count records how many
-    (sigma, subsets) pairs collapsed onto them.
-    """
-    pairs = pair_count(layer, family)
-    if pairs > block_cap:
-        raise CapExceeded(f"{pairs} (sigma, subsets) pairs exceed cap {block_cap}")
-    sizes = layer.level_sizes()
-    index_values = shape_values(layer, family)
-    seen: dict[tuple, Block] = {}
-    for vector, _ in _cardinality_vectors(layer, family):
-        sigma = canonical_sigma(index_values, vector)
-        choices = [
-            itertools.combinations(range(1, size + 1), want)
-            for size, want in zip(sizes, vector)
-        ]
-        for subsets in itertools.product(*choices):
-            key = subsets
-            if key not in seen:
-                seen[key] = Block((layer.k, layer.n), subsets, sigma)
-    blocks = tuple(seen[key] for key in sorted(seen))
-    return BlockFamily(blocks, pairs)
+    """All blocks of the family, sorted by level subsets: per fitting
+    cardinality vector, the products of its level-subset combinations.
+    No block arises twice (see `family_size`), so none is deduplicated;
+    the pair count records how many (sigma, subsets) pairs give them."""
+    vectors, pairs, _ = family_size(layer, family, block_cap=block_cap)
+    ranges = [range(1, size + 1) for size in layer.level_sizes()]
+    raw = [subsets for vector in vectors
+           for subsets in itertools.product(*map(itertools.combinations, ranges, vector))]
+    return BlockFamily(assemble_blocks(layer, family, raw), pairs)

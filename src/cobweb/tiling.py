@@ -59,15 +59,16 @@ from .geometry import (
     DEFAULT_VOLUME_CAP,
     Block,
     Layer,
+    Levels,
     MultiShape,
     PlainShape,
     ShapeFamily,
+    assemble_blocks,
     bits,
     block_defects,
     block_family,
     block_from_json,
     build_layer,
-    canonical_sigma,
     overlapping_pairs,
     path_masks,
     shape_values,
@@ -90,16 +91,21 @@ class ChoiceStrategy:
         return self
 
 
+def _deal(verts, sizes) -> list:
+    """The vertices cut, in their order, into batches of the given sizes."""
+    batches = []
+    pos = 0
+    for size in sizes:
+        batches.append(verts[pos:pos + size])
+        pos += size
+    return batches
+
+
 class LowestLabels(ChoiceStrategy):
     """Deal batches in ascending label order; fully deterministic."""
 
     def assignments(self, verts, sizes):
-        batches = []
-        pos = 0
-        for size in sizes:
-            batches.append(verts[pos:pos + size])
-            pos += size
-        yield tuple(batches)
+        yield tuple(_deal(verts, sizes))
 
 
 class Seeded(ChoiceStrategy):
@@ -115,12 +121,7 @@ class Seeded(ChoiceStrategy):
     def assignments(self, verts, sizes):
         shuffled = list(verts)
         self._rng.shuffle(shuffled)
-        batches = []
-        pos = 0
-        for size in sizes:
-            batches.append(tuple(sorted(shuffled[pos:pos + size])))
-            pos += size
-        yield tuple(batches)
+        yield tuple(tuple(sorted(batch)) for batch in _deal(shuffled, sizes))
 
 
 class Exhaustive(ChoiceStrategy):
@@ -194,32 +195,6 @@ class Tiling(Record):
             "blocks": [block.to_json_obj() for block in self.blocks],
             "provenance": self.provenance,
         }
-
-
-def _sorted_blocks(blocks) -> tuple[Block, ...]:
-    return tuple(sorted(blocks, key=lambda b: b.levels))
-
-
-# A block under construction: its vertex tuples, one per level of the
-# (virtual) layer it tiles, bottom to top.
-Levels = tuple[tuple[int, ...], ...]
-
-
-def _assemble(layer: Layer, shape: ShapeFamily, raw: list[Levels]) -> tuple[Block, ...]:
-    """Blocks from level tuples in physical order, sorted, each with its
-    canonical sigma over the shape's base vector, found once per distinct
-    cardinality vector."""
-    values = shape_values(layer, shape)
-    span = (layer.k, layer.n)
-    sigmas: dict[tuple[int, ...], tuple[int, ...]] = {}
-    blocks = []
-    for levels in sorted(raw):
-        cards = tuple(map(len, levels))
-        sigma = sigmas.get(cards)
-        if sigma is None:
-            sigma = sigmas[cards] = canonical_sigma(values, cards)
-        blocks.append(Block(span, levels, sigma))
-    return tuple(blocks)
 
 
 def _plain_step(F: FSequence, state: tuple[int, int]) -> tuple | None:
@@ -327,7 +302,7 @@ def _construct(layer: Layer, shape: ShapeFamily, step, state,
     chooser = _construction_chooser(strategy)
     first = next(_layer_options(layer, step, state, chooser))
     label = type(chooser).__name__.lower()
-    return Tiling(layer, _assemble(layer, shape, first), shape, f"{kind}:{label}")
+    return Tiling(layer, assemble_blocks(layer, shape, first), shape, f"{kind}:{label}")
 
 
 def _construction_layer(F: FSequence, k: int, n: int) -> Layer:
@@ -364,7 +339,7 @@ def enumerate_construction_tilings(F: FSequence, k: int, n: int) -> Iterator[Til
     layer = _construction_layer(F, k, n)
     shape = PlainShape(layer.m)
     for option in _layer_options(layer, _plain_step, (k, layer.m), Exhaustive()):
-        yield Tiling(layer, _assemble(layer, shape, option), shape, "construct:exhaustive")
+        yield Tiling(layer, assemble_blocks(layer, shape, option), shape, "construct:exhaustive")
 
 
 class ConstructionCensus(Record):
@@ -576,7 +551,7 @@ def enumerate_all_tilings(
 ) -> TilingSearchResult:
     """Every tiling of the layer by blocks of the family, by exact cover.
 
-    Backtracking over the deduplicated block family on the path masks of
+    Backtracking over the blocks of `block_family` on the path masks of
     `geometry.path_masks`.  `on_path`, the blocks through each path, is
     built by `_blocks_on_paths`: a per-level vertex index of the blocks,
     then prefix ANDs over the levels.  A block's clash mask, the blocks
@@ -679,8 +654,8 @@ def enumerate_all_tilings(
         covered |= masks[b_idx]
         live &= keep[b_idx]
 
-    tilings = tuple(
-        Tiling(layer, _sorted_blocks(blocks[i] for i in pick), family, "exhaustive")
+    tilings = tuple(  # the family is sorted, so its blocks at sorted indices are too
+        Tiling(layer, tuple(blocks[i] for i in sorted(pick)), family, "exhaustive")
         for pick in found
     )
     return TilingSearchResult(tilings, total, nodes <= node_budget, nodes, len(memo))
@@ -706,7 +681,7 @@ def tiling_from_json(obj) -> Tiling:
     kind: ShapeFamily = PlainShape(layer.m)
     if blocks and k == 1:
         cards = sorted(blocks[0].level_cardinalities())
-        if cards != sorted(shape_values(layer, kind)):
+        if len(cards) != layer.m or cards != sorted(shape_values(layer, kind)):
             parts = _parts_from_cardinalities(F, n, cards)
             if parts is not None:
                 kind = MultiShape(parts)

@@ -16,6 +16,7 @@ from cobweb import (
     Powers,
     SearchBudgetExceeded,
     block_count_formula,
+    block_family,
     blocks_disjoint,
     build_block_graph,
     build_layer,
@@ -33,7 +34,7 @@ from cobweb import (
 )
 from cobweb import blockgraph as blockgraph_module
 from cobweb import tiling as tiling_module
-from conftest import cyclic_garbage
+from conftest import TABLE_B, cyclic_garbage
 
 
 class TestBlockCountFormula:
@@ -53,21 +54,31 @@ class TestBlockCountFormula:
         assert report.distinct_count < report.pair_count
 
     def test_formula_matches_brute_force(self):
-        # literal (sigma, subsets) enumeration as the oracle
-        for F in (Natural(), Fp(1)):
+        # literal (sigma, subsets) enumeration as the oracle: every pair,
+        # and the distinct vertex data among them; Fp(1), Powers(1) (all
+        # terms 1) and TABLE_B repeat terms, so orientations collide
+        for F in (Natural(), Fp(1), Powers(1), TABLE_B):
             for k in range(1, 6):
                 for n in range(k, k + 3):
                     layer = build_layer(F, k, n)
                     if layer.m > 3 or max(layer.level_sizes()) > 8:
                         continue
                     count = 0
+                    distinct = set()
                     for sigma in itertools.permutations(range(1, layer.m + 1)):
                         pools = [
                             list(itertools.combinations(range(1, size + 1), term(F, v)))
                             for size, v in zip(layer.level_sizes(), sigma)
                         ]
-                        count += len(list(itertools.product(*pools)))
-                    assert block_count_formula(F, k, n).pair_count == count
+                        for subsets in itertools.product(*pools):
+                            count += 1
+                            distinct.add(subsets)
+                    report = block_count_formula(F, k, n)
+                    assert report.pair_count == count
+                    assert report.distinct_count == len(distinct)
+                    blocks = block_family(layer, PlainShape(layer.m)).blocks
+                    assert len(blocks) == len(distinct)
+                    assert {block.levels for block in blocks} == distinct
 
 
 class TestBuildBlockGraph:

@@ -265,6 +265,36 @@ class TestTileVerifyRender:
         body = svg.read_text()
         assert body.count("<circle") == 9  # rows of 2, 3, 4
 
+    def test_render_over_vertex_cap_refused(self, capsys, tmp_path):
+        # natural <2->4> has 2 + 3 + 4 = 9 vertices
+        tiling_file = tmp_path / "layer.json"
+        tiling_file.write_text(json.dumps({"family": "natural", "span": [2, 4], "blocks": []}))
+        svg = tmp_path / "layer.svg"
+        rc, out, err = run(capsys, "render", str(tiling_file), "--out", str(svg),
+                           "--cap-vertices", "8")
+        assert rc == 1 and out == ""
+        assert err == "error: layer has 9 vertices by level 4, over the cap 8\n"
+        assert not svg.exists()
+        rc, _, _ = run(capsys, "render", str(tiling_file), "--out", str(svg),
+                       "--cap-vertices", "9")
+        assert rc == 0 and svg.read_text().count("<circle") == 9
+
+    @pytest.mark.parametrize("blocks", [
+        [], [{"span": [1, 10**9], "levels": [[1]], "sigma": [1]}],
+    ], ids=["skeleton", "short-block"])
+    def test_render_long_span_refused_at_once(self, capsys, tmp_path, blocks):
+        # natural <1->10^9> passes the default cap of 200000 vertices at
+        # level 632; neither the level sizes of the whole span nor the term
+        # values of a 10^9-level shape are computed
+        tiling_file = tmp_path / "layer.json"
+        tiling_file.write_text(json.dumps(
+            {"family": "natural", "span": [1, 10**9], "blocks": blocks}))
+        svg = tmp_path / "layer.svg"
+        rc, out, err = run(capsys, "render", str(tiling_file), "--out", str(svg))
+        assert rc == 1 and out == ""
+        assert err == "error: layer has 200028 vertices by level 632, over the cap 200000\n"
+        assert not svg.exists()
+
 
 class TestCountTilings:
     def test_formula_mode(self, capsys):
