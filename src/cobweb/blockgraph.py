@@ -121,11 +121,12 @@ _DEAD = ()
 _LOST = object()
 
 
-def _replay(node: tuple, base: tuple, out: list, limit: int, nodes: int,
-            node_budget: int) -> int:
+def _replay(node: tuple, base: tuple, out: list, nodes: int, node_budget: int) -> int:
     """Append the cliques of a memoised listing node under the prefix
     `base` to `out` and return `nodes` plus one per edge replayed, up to
-    the first node over `node_budget` or the `limit`-th clique."""
+    the first node over `node_budget`.  Only a listing of every clique
+    replays: before its first clique a search has memoised only the empty
+    node, so a first-clique search never does."""
     stack = [(base, iter(node))]  # open nodes: (prefix, edge pairs left)
     while stack:
         base, pairs = stack.pop()
@@ -145,8 +146,6 @@ def _replay(node: tuple, base: tuple, out: list, limit: int, nodes: int,
                 stack += (base, pairs), (clique, iter(child))
                 break
             out.append(clique)
-            if len(out) == limit:
-                return nodes
     return nodes
 
 
@@ -155,9 +154,9 @@ def _size_d_cliques(
 ) -> tuple[list[tuple[int, ...]], CliqueCountResult]:
     """Cliques of exactly size d in canonical order, by a depth-first
     extension over candidates above the last vertex taken, one loop over
-    an explicit stack of open nodes: the first `limit` of them (all for
-    limit=0), or none but their number for limit=None, together with the
-    count and the work done.
+    an explicit stack of open nodes: the first of them for limit=1, all
+    for limit=0, or none but their number for limit=None, together with
+    the count and the work done.
 
     A node is one candidate tried as the next vertex of a prefix.  The
     sibling loop stops as soon as the candidates left could no longer
@@ -227,8 +226,8 @@ def _size_d_cliques(
                 if not collect:
                     total += hit
                 elif hit:
-                    nodes = _replay(hit, tuple(prefix), out, limit, nodes, node_budget)
-                    if nodes > node_budget or len(out) == limit:
+                    nodes = _replay(hit, tuple(prefix), out, nodes, node_budget)
+                    if nodes > node_budget:
                         break
                     edges += hit
                 left = need
@@ -259,8 +258,8 @@ def _size_d_cliques(
                 elif not collect:
                     total += child
                 elif child:
-                    nodes = _replay(child, (*prefix, v), out, limit, nodes, node_budget)
-                    if nodes > node_budget or len(out) == limit:
+                    nodes = _replay(child, (*prefix, v), out, nodes, node_budget)
+                    if nodes > node_budget:
                         break
                 if collect and child is not _DEAD:
                     edges += vertex[v], child

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import mul
 
 from .coefficients import (
     check_multi_recurrence,
@@ -305,6 +306,13 @@ def cmd_render(args) -> int:
         if total > args.cap_vertices:
             raise CapExceeded(f"layer has {total} vertices by level {s}, "
                               f"over the cap {args.cap_vertices}")
+    # the SVG draws a circle per vertex, a ring per vertex of a one-level
+    # block, and a line per vertex pair of a block's consecutive levels
+    for block in obj["blocks"]:
+        lengths = [len(level) for level in block["levels"]]
+        total += lengths[0] if len(lengths) == 1 else sum(map(mul, lengths, lengths[1:]))
+    if total > args.cap_vertices:
+        raise CapExceeded(f"picture has {total} elements, over the cap {args.cap_vertices}")
     style = RenderStyle(dx=args.dx, dy=args.dy, radius=args.radius)
     svg = render_tiling_svg(obj, sizes, style)
     _write_file(args.out, svg)

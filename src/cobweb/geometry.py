@@ -21,6 +21,7 @@ from collections import Counter
 from collections.abc import Iterator
 from math import comb, factorial, prod
 from operator import itemgetter
+from types import GeneratorType
 
 from .coefficients import falling_f_factorial
 from .errors import DEFAULT_BLOCK_CAP, DEFAULT_VOLUME_CAP, CapExceeded
@@ -353,62 +354,65 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _cardinality_vectors(layer: Layer, family: ShapeFamily) -> list[tuple[tuple[int, ...], int]]:
-    """Distinct level-cardinality vectors of a shape family that fit the
-    layer (no entry above its level's size), in sorted order, each with
-    the number of permutations sigma that produce it.
-
-    A backtracking walk places the distinct values level by level, smallest
-    first, and prunes a value too large for its level, so a layer where
-    few orderings fit costs about as many steps as those orderings, not
-    m!.  It keeps its own stack, so m is not bounded by the recursion
-    limit."""
-    values = shape_values(layer, family)
-    remaining = Counter(values)
-    weight = 1
-    for count in remaining.values():
-        weight *= factorial(count)
-    sizes = layer.level_sizes()
-    distinct = sorted(remaining)
-    vectors: list[tuple[tuple[int, ...], int]] = []
-    prefix: list[int] = []
-    nexts = [0]  # per open level, the index in `distinct` to try next
-    while nexts:
-        level, i = len(prefix), nexts[-1]
-        while i < len(distinct) and distinct[i] <= sizes[level] and not remaining[distinct[i]]:
-            i += 1
-        if i == len(distinct) or distinct[i] > sizes[level]:
-            nexts.pop()
-            if prefix:
-                remaining[prefix.pop()] += 1
+def _unwind(root: Iterator) -> Iterator:
+    """Run a recursion written as generators on one explicit stack, so its
+    depth is bounded by memory, not by the recursion limit.  A generator
+    calls by yielding the sub-call's generator, and the yield evaluates to
+    the list of what the sub-call yielded; the root's output streams out.
+    A sub-call ends before its caller resumes, so they may share state."""
+    stack = [(root, None)]  # open calls, root first, each with its output list
+    sent = None
+    while stack:
+        call, made = stack[-1]
+        try:
+            item = call.send(sent)
+        except StopIteration:
+            stack.pop()
+            sent = made
             continue
-        nexts[-1] = i + 1
-        remaining[distinct[i]] -= 1
-        prefix.append(distinct[i])
-        if len(prefix) < len(sizes):
-            nexts.append(0)
+        sent = None
+        if type(item) is GeneratorType:
+            stack.append((item, []))
+        elif made is None:
+            yield item
         else:
-            vectors.append((tuple(prefix), weight))
-            remaining[prefix.pop()] += 1
-    return vectors
+            made.append(item)
+
+
+def _fitting_tails(sizes: tuple[int, ...], left: Counter, level: int) -> Iterator:
+    """Under `_unwind`: the entries from `level` up, in sorted order, of
+    the vectors that place the values `left` (keys ascending) one per
+    level, none above its level's size.  Values are tried smallest first up
+    to the first too large, so a layer where few orderings fit costs about
+    as many steps as those orderings, not m!."""
+    for value, count in left.items():
+        if value > sizes[level]:
+            break
+        if count:
+            if level + 1 == len(sizes):
+                yield (value,)
+                continue
+            left[value] -= 1
+            for tail in (yield _fitting_tails(sizes, left, level + 1)):
+                yield (value, *tail)
+            left[value] += 1
 
 
 def family_size(layer: Layer, family: ShapeFamily, *,
                 block_cap: int = DEFAULT_BLOCK_CAP) -> tuple[list[tuple[int, ...]], int, int]:
-    """The fitting cardinality vectors of a shape family, and its numbers
-    of (sigma, subsets) pairs and of distinct blocks, refused with
-    CapExceeded over `block_cap` pairs.  A vector has prod C(size, want)
-    subset choices, once per sigma giving it among the pairs; a block's
+    """The fitting cardinality vectors of a shape family (no entry above
+    its level's size), sorted, and its numbers of (sigma, subsets) pairs
+    and of distinct blocks, refused with CapExceeded over `block_cap`
+    pairs.  A vector has prod C(size, want) subset choices; a block's
     level sizes are its vector, so the distinct blocks are the choices
-    taken once per vector."""
+    summed over the vectors.  Every vector arises from the same number of
+    sigmas, the product of the factorials of the values' multiplicities,
+    so the pair count is that weight times the distinct count."""
+    values = Counter(sorted(shape_values(layer, family)))
     sizes = layer.level_sizes()
-    vectors = []
-    pairs = distinct = 0
-    for vector, weight in _cardinality_vectors(layer, family):
-        choices = prod(map(comb, sizes, vector))
-        vectors.append(vector)
-        pairs += weight * choices
-        distinct += choices
+    vectors = list(_unwind(_fitting_tails(sizes, values, 0)))
+    distinct = sum(prod(map(comb, sizes, vector)) for vector in vectors)
+    pairs = prod(map(factorial, values.values())) * distinct
     if pairs > block_cap:
         raise CapExceeded(f"{pairs} (sigma, subsets) pairs exceed cap {block_cap}")
     return vectors, pairs, distinct

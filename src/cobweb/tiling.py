@@ -25,8 +25,8 @@ with b_s decremented, down to one part left (one block).  One generator,
 `_options`, runs both; a step function (`_plain_step`, `_multi_step`)
 gives the batch sizes and sub-states of a split, and each construction
 caches it, so the lambda coefficients are worked out once per split, not
-once per node.  `_options` keeps the open virtual layers on an explicit
-stack, so no construction is bounded by the interpreter's recursion limit.
+once per node.  `_options` is a recursion run by `geometry._unwind`, so
+no construction is bounded by the interpreter's recursion limit.
 
 Which vertices go into which batch is the only free choice; it is
 delegated to a ChoiceStrategy.  The exhaustive strategy enumerates every
@@ -63,6 +63,7 @@ from .geometry import (
     MultiShape,
     PlainShape,
     ShapeFamily,
+    _unwind,
     assemble_blocks,
     bits,
     block_defects,
@@ -226,74 +227,58 @@ def _multi_step(F: FSequence, parts: tuple[int, ...]) -> tuple | None:
     return tuple(sizes), tuple(subs)
 
 
-def _options(
-    unit: int, levels: Levels, state, step, chooser: ChoiceStrategy
-) -> Iterator[list[Levels]]:
-    """All completions of a virtual layer into full-height blocks.
+def _whole(unit: int, levels: Levels, state, step) -> list[list[Levels]] | None:
+    """The one option of a virtual layer that is not split, or None: a
+    single level is cut into groups of `unit`, 1_F, vertices, and a layer
+    that `step` leaves whole is one block."""
+    if len(levels) == 1:
+        verts = levels[0]
+        return [[(verts[i:i + unit],) for i in range(0, len(verts), unit)]]
+    return None if step(state) else [[levels]]
+
+
+def _options(unit: int, levels: Levels, state, step, chooser: ChoiceStrategy) -> Iterator:
+    """Under `_unwind`: all completions of a split virtual layer into
+    full-height blocks, one iterator of them per batch assignment.
 
     `levels` holds the virtual layer's vertex tuples, bottom to top, and
     `step(state)` splits its top level as `_plain_step` or `_multi_step`
-    does.  Each yielded option is one finished tiling of the virtual layer,
-    a list of blocks given as level tuples in the virtual layer's order: a
-    batch is appended to the blocks of the layer below it, and the blocks
-    of a rotated batch's virtual layer, which starts with the batch, are
-    rotated to end with it.  A single level is cut into groups of `unit`,
-    1_F, vertices.  Options stream lazily; only sub-layer option lists are
-    materialised (they are needed once per batch combination).  The open
-    layers wait on an explicit stack, and the chooser is asked depth first.
+    does.  Each option is one finished tiling of the virtual layer, a list
+    of blocks given as level tuples in the virtual layer's order: a batch
+    is appended to the blocks of the layer below it, and the blocks of a
+    rotated batch's virtual layer, which starts with the batch, are
+    rotated to end with it.  A batch's layer is a sub-call only if it is
+    split again (see `_whole`); its option list is materialised, as it is
+    needed once per batch combination.  The chooser is asked depth first.
     """
-    # open layers, the whole layer first: [levels below the top, sub-states,
-    # assignments left, the current one, its batches' option lists, options]
-    stack: list[list] = []
-    while True:
-        if len(levels) == 1:
-            verts = levels[0]
-            done = [[(verts[i:i + unit],) for i in range(0, len(verts), unit)]]
-        elif (plan := step(state)) is None:
-            done = [[levels]]
-        else:
-            sizes, subs = plan
-            stack.append([levels[:-1], subs, chooser.assignments(levels[-1], sizes), None, [], []])
-            done = None
-        # hand finished option lists up until a layer needs a batch's options
-        while stack:
-            frame = stack[-1]
-            below, subs, deals, batches, per_batch, options = frame
-            if done is not None:
-                i = len(per_batch)
-                if subs[i][1]:
-                    per_batch.append([[blk[1:] + blk[:1] for blk in option] for option in done])
-                else:
-                    per_batch.append([[blk + (batches[i],) for blk in option] for option in done])
-                done = None
-            if batches is not None:
-                i = len(per_batch)
-                if i < len(batches):
-                    sub, rotated = subs[i]
-                    levels, state = ((batches[i],) + below if rotated else below), sub
-                    break
-                combos = ([blk for option in combo for blk in option]
-                          for combo in itertools.product(*per_batch))
-                if len(stack) == 1:
-                    yield from combos
-                else:
-                    options += combos
-                per_batch.clear()
-            frame[3] = next(deals, None)
-            if frame[3] is None:
-                stack.pop()
-                done = options
-        else:
-            yield from done  # the whole layer's, empty once streamed
-            return
+    sizes, subs = step(state)
+    below = levels[:-1]
+    for batches in chooser.assignments(levels[-1], sizes):
+        per_batch = []
+        for batch, (sub, rotated) in zip(batches, subs):
+            sub_levels = (batch,) + below if rotated else below
+            options = _whole(unit, sub_levels, sub, step)
+            if options is None:
+                options = list(itertools.chain.from_iterable(
+                    (yield _options(unit, sub_levels, sub, step, chooser))))
+            if rotated:
+                per_batch.append([[blk[1:] + blk[:1] for blk in option] for option in options])
+            else:
+                per_batch.append([[blk + (batch,) for blk in option] for option in options])
+        yield map(list, map(itertools.chain.from_iterable, itertools.product(*per_batch)))
 
 
 def _layer_options(layer: Layer, step, state, chooser: ChoiceStrategy) -> Iterator[list[Levels]]:
-    """`_options` on the whole layer, its step cached for this construction."""
+    """The options of the whole layer, streamed, its step cached for this
+    construction."""
     F = layer.F
+    unit = term(F, 1)
     levels = tuple(tuple(range(1, term(F, s) + 1)) for s in range(layer.k, layer.n + 1))
     cached = lru_cache(maxsize=None)(lambda sub: step(F, sub))
-    return _options(term(F, 1), levels, state, cached, chooser)
+    whole = _whole(unit, levels, state, cached)
+    if whole is not None:
+        return iter(whole)
+    return itertools.chain.from_iterable(_unwind(_options(unit, levels, state, cached, chooser)))
 
 
 def _construct(layer: Layer, shape: ShapeFamily, step, state,
@@ -717,30 +702,27 @@ def _parts_from_cardinalities(F: FSequence, n: int, cards: list[int]) -> tuple[i
     or None if there is none.
 
     Part b contributes term(1..b), so this searches the partitions of
-    len(cards) into parts of at most n, largest parts first, on an
-    explicit stack, remembering the states that fail.  Part order is not
-    recoverable and not needed (validation is multiset-based).
+    len(cards) into parts of at most n, largest parts first, remembering
+    the states that fail.  Part order is not recoverable and not needed
+    (validation is multiset-based).
     """
     top = min(n, len(cards))
     needs = [Counter(term(F, i) for i in range(1, b + 1)) for b in range(top + 1)]
-    failed: set = set()
-    # open states: (values left, key, parts left to try, the part taken)
-    stack: list[tuple] = []
-    left, most = Counter(cards), top
-    while left:
-        state = (frozenset(left.items()), most)
-        if state not in failed:
-            stack.append((left, state, iter(range(min(left.total(), most), 0, -1)), 0))
-        # climb to the deepest open state with a part that fits
-        while stack:
-            left, state, tries, _ = stack[-1]
-            most = next((b for b in tries if needs[b] <= left), 0)
-            if most:
-                break
-            stack.pop()
-            failed.add(state)
-        else:
-            return None
-        stack[-1] = (left, state, tries, most)
-        left = left - needs[most]
-    return tuple(frame[3] for frame in stack) or None
+    return next(_unwind(_parts_search(needs, set(), Counter(cards), top)), None) or None
+
+
+def _parts_search(needs: list[Counter], failed: set, left: Counter, most: int) -> Iterator:
+    """Under `_unwind`: yields the first tuple of parts of at most `most`,
+    largest first, whose values `needs` make up `left`, if there is one;
+    a state with none is added to `failed`."""
+    if not left:
+        yield ()
+        return
+    state = (frozenset(left.items()), most)
+    if state not in failed:
+        for b in range(min(left.total(), most), 0, -1):
+            if needs[b] <= left:
+                for rest in (yield _parts_search(needs, failed, left - needs[b], b)):
+                    yield (b, *rest)
+                    return
+        failed.add(state)

