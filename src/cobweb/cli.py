@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from operator import mul
 
 from .coefficients import (
     check_multi_recurrence,
@@ -34,7 +33,7 @@ from .coefficients import (
     fnomial_recurrence_rhs,
     multi_fnomial,
 )
-from .errors import DEFAULT_BLOCK_CAP, DEFAULT_VOLUME_CAP, CapExceeded, CobwebError
+from .errors import DEFAULT_BLOCK_CAP, DEFAULT_VOLUME_CAP, CapExceeded, CobwebError, TilingFormatError
 from .fsequence import admissibility_checks, is_cobweb_admissible, parse_family_spec, term
 
 # The handlers import `tiling` (as `tl`, the name annotations use),
@@ -74,6 +73,18 @@ def _fs_path(text: str) -> str:
 def _read_file(path: str) -> str:
     with open(_fs_path(path), encoding="utf-8") as handle:
         return handle.read()
+
+
+def _read_tiling(path: str):
+    """A tiling file's JSON object and the tiling it holds; JSON nested
+    past the parser's depth is a malformed tiling, not a traceback."""
+    from .tiling import tiling_from_json
+
+    try:
+        obj = json.loads(_read_file(path))
+    except RecursionError as exc:
+        raise TilingFormatError(f"malformed tiling: {exc}") from None
+    return obj, tiling_from_json(obj)
 
 
 def _write_file(path: str, content: str) -> None:
@@ -282,8 +293,7 @@ def cmd_graph(args) -> int:
 def cmd_verify(args) -> int:
     from . import tiling as tl
 
-    obj = json.loads(_read_file(args.file))
-    tiling = tl.tiling_from_json(obj)
+    _, tiling = _read_tiling(args.file)
     report = tl.verify_tiling(tiling, volume_cap=args.cap_volume)
     payload = {"valid": report.valid, "violations": list(report.violations),
                "blocks": len(tiling.blocks)}
@@ -294,27 +304,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    from . import tiling as tl
-    from .render import RenderStyle, render_tiling_svg
+    from .render import RenderStyle, picture_sizes, render_tiling_svg
 
-    obj = json.loads(_read_file(args.file))
-    layer = tl.tiling_from_json(obj).layer
-    sizes, total = [], 0  # refused at the first level past --cap-vertices
-    for s in range(layer.k, layer.n + 1):
-        sizes.append(term(layer.F, s))
-        total += sizes[-1]
-        if total > args.cap_vertices:
-            raise CapExceeded(f"layer has {total} vertices by level {s}, "
-                              f"over the cap {args.cap_vertices}")
-    # the SVG draws a circle per vertex, a ring per vertex of a one-level
-    # block, and a line per vertex pair of a block's consecutive levels
-    for block in obj["blocks"]:
-        lengths = [len(level) for level in block["levels"]]
-        total += lengths[0] if len(lengths) == 1 else sum(map(mul, lengths, lengths[1:]))
-    if total > args.cap_vertices:
-        raise CapExceeded(f"picture has {total} elements, over the cap {args.cap_vertices}")
-    style = RenderStyle(dx=args.dx, dy=args.dy, radius=args.radius)
-    svg = render_tiling_svg(obj, sizes, style)
+    obj, tiling = _read_tiling(args.file)
+    sizes = picture_sizes(obj, tiling.layer, args.cap_vertices)
+    svg = render_tiling_svg(obj, sizes, RenderStyle(dx=args.dx, dy=args.dy, radius=args.radius))
     _write_file(args.out, svg)
     _emit(args, {"out": args.out, "bytes": len(svg)}, [f"wrote {args.out}"])
     return 0

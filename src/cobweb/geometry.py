@@ -379,21 +379,26 @@ def _unwind(root: Iterator) -> Iterator:
             made.append(item)
 
 
-def _fitting_tails(sizes: tuple[int, ...], left: Counter, level: int) -> Iterator:
+def _fitting_tails(sizes: tuple[int, ...], left: Counter, level: int, ways: int,
+                   tally) -> Iterator:
     """Under `_unwind`: the entries from `level` up, in sorted order, of
     the vectors that place the values `left` (keys ascending) one per
     level, none above its level's size.  Values are tried smallest first up
     to the first too large, so a layer where few orderings fit costs about
-    as many steps as those orderings, not m!."""
+    as many steps as those orderings, not m!.  `ways` is the product of
+    C(size, value) over the levels below, and each whole vector's product
+    is handed to `tally`, which may stop the walk by raising."""
     for value, count in left.items():
         if value > sizes[level]:
             break
         if count:
+            here = ways * comb(sizes[level], value)
             if level + 1 == len(sizes):
+                tally(here)
                 yield (value,)
                 continue
             left[value] -= 1
-            for tail in (yield _fitting_tails(sizes, left, level + 1)):
+            for tail in (yield _fitting_tails(sizes, left, level + 1, here, tally)):
                 yield (value, *tail)
             left[value] += 1
 
@@ -403,19 +408,25 @@ def family_size(layer: Layer, family: ShapeFamily, *,
     """The fitting cardinality vectors of a shape family (no entry above
     its level's size), sorted, and its numbers of (sigma, subsets) pairs
     and of distinct blocks, refused with CapExceeded over `block_cap`
-    pairs.  A vector has prod C(size, want) subset choices; a block's
-    level sizes are its vector, so the distinct blocks are the choices
-    summed over the vectors.  Every vector arises from the same number of
-    sigmas, the product of the factorials of the values' multiplicities,
-    so the pair count is that weight times the distinct count."""
+    pairs as soon as the vectors walked so far pass it.  A vector has
+    prod C(size, want) subset choices; a block's level sizes are its
+    vector, so the distinct blocks are the choices summed over the
+    vectors.  Every vector arises from the same number of sigmas, the
+    product of the factorials of the values' multiplicities, so the pair
+    count is that weight times the distinct count."""
     values = Counter(sorted(shape_values(layer, family)))
-    sizes = layer.level_sizes()
-    vectors = list(_unwind(_fitting_tails(sizes, values, 0)))
-    distinct = sum(prod(map(comb, sizes, vector)) for vector in vectors)
-    pairs = prod(map(factorial, values.values())) * distinct
-    if pairs > block_cap:
-        raise CapExceeded(f"{pairs} (sigma, subsets) pairs exceed cap {block_cap}")
-    return vectors, pairs, distinct
+    weight = prod(map(factorial, values.values()))
+    distinct = 0
+
+    def tally(ways: int) -> None:
+        nonlocal distinct
+        distinct += ways
+        if weight * distinct > block_cap:
+            raise CapExceeded(f"at least {weight * distinct} (sigma, subsets) pairs "
+                              f"exceed cap {block_cap}")
+
+    vectors = list(_unwind(_fitting_tails(layer.level_sizes(), values, 0, 1, tally)))
+    return vectors, weight * distinct, distinct
 
 
 # A block under construction: its vertex tuples, one per level of the

@@ -706,23 +706,33 @@ def _parts_from_cardinalities(F: FSequence, n: int, cards: list[int]) -> tuple[i
     the states that fail.  Part order is not recoverable and not needed
     (validation is multiset-based).
     """
-    top = min(n, len(cards))
-    needs = [Counter(term(F, i) for i in range(1, b + 1)) for b in range(top + 1)]
-    return next(_unwind(_parts_search(needs, set(), Counter(cards), top)), None) or None
+    terms = [term(F, i) for i in range(1, min(n, len(cards)) + 1)]
+    return next(_unwind(_parts_search(terms, set(), Counter(cards), len(terms))), None) or None
 
 
-def _parts_search(needs: list[Counter], failed: set, left: Counter, most: int) -> Iterator:
+def _parts_search(terms: list[int], failed: set, left: Counter, most: int) -> Iterator:
     """Under `_unwind`: yields the first tuple of parts of at most `most`,
-    largest first, whose values `needs` make up `left`, if there is one;
-    a state with none is added to `failed`."""
-    if not left:
+    largest first, whose values term(1..b) make up `left`, if there is one;
+    a state with none is added to `failed`.  A part's values hold those of
+    every smaller part, so one scan takes term(1), term(2), ... out of the
+    shared `left` while each is there, up to the largest part that fits;
+    each smaller part tried gives one value back, so `left` is whole again
+    when the state fails."""
+    total = left.total()
+    if not total:
         yield ()
         return
-    state = (frozenset(left.items()), most)
-    if state not in failed:
-        for b in range(min(left.total(), most), 0, -1):
-            if needs[b] <= left:
-                for rest in (yield _parts_search(needs, failed, left - needs[b], b)):
-                    yield (b, *rest)
-                    return
-        failed.add(state)
+    state = (frozenset(item for item in left.items() if item[1]), most)
+    if state in failed:
+        return
+    b, top = 0, min(total, most)
+    while b < top and left[terms[b]]:
+        left[terms[b]] -= 1
+        b += 1
+    while b:
+        for rest in (yield _parts_search(terms, failed, left, b)):
+            yield (b, *rest)
+            return
+        b -= 1
+        left[terms[b]] += 1
+    failed.add(state)

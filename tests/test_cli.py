@@ -159,6 +159,18 @@ class TestTileVerifyRender:
         assert err.startswith("error: malformed tiling: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["verify", "render"])
+    def test_nested_past_parser_depth_is_one_line_error(self, capsys, tmp_path, command):
+        in_file = tmp_path / "nested.json"
+        in_file.write_text("[" * 100000 + "]" * 100000)
+        svg = tmp_path / "nested.svg"
+        extra = ("--out", str(svg)) if command == "render" else ()
+        rc, out, err = run(capsys, command, str(in_file), *extra)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: malformed tiling: ")
+        assert err.count("\n") == 1
+        assert not svg.exists()
+
     def test_render_vertex_off_layer_is_one_line_error(self, capsys, tmp_path):
         in_file = tmp_path / "bad.json"
         in_file.write_text(json.dumps({"family": "natural", "span": [1, 2], "blocks": [

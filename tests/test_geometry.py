@@ -1,6 +1,7 @@
 """Layers, boxes, blocks, disjointness, and block enumeration."""
 
 import itertools
+import math
 
 import pytest
 
@@ -20,6 +21,7 @@ from cobweb import (
     point_to_path,
     term,
 )
+from cobweb import geometry
 from cobweb.geometry import _unwind, family_size, shape_values
 from conftest import TABLE_B, TABLE_C, TABLE_E, cyclic_garbage, lambda_families
 
@@ -290,6 +292,31 @@ class TestEnumerateBlocks:
         with pytest.raises(CapExceeded):
             block_family(build_layer(Natural(), 2, 7), PlainShape(6), block_cap=100)
 
+    def test_cap_refuses_inside_the_walk(self, monkeypatch):
+        # natural <9->17> has 9! fitting vectors of 9 comb calls each; the
+        # walk stops at the first vector whose pairs pass the cap
+        layer = build_layer(Natural(), 9, 17)
+        calls = 0
+
+        def counted(n, r):
+            nonlocal calls
+            calls += 1
+            return math.comb(n, r)
+
+        def refuse():
+            try:
+                family_size(layer, PlainShape(9))
+            except CapExceeded:
+                return
+            raise AssertionError("natural <9->17> not refused")
+
+        monkeypatch.setattr(geometry, "comb", counted)
+        assert cyclic_garbage(refuse) == 0
+        assert 0 < calls <= 100
+        with pytest.raises(CapExceeded, match=r"^at least \d+ \(sigma, subsets\) pairs "
+                                              r"exceed cap 200000$"):
+            family_size(layer, PlainShape(9))
+
     def test_deterministic_order(self):
         layer = build_layer(Natural(), 3, 4)
         first = block_family(layer, PlainShape(2)).blocks
@@ -449,7 +476,7 @@ class TestRecords:
 
     def test_constructor_defaults(self):
         from cobweb.blockgraph import CliqueCountResult, CliqueSearchResult
-        from cobweb.render import PALETTE, RenderStyle
+        from cobweb.render import RenderStyle
         from cobweb.tiling import TilingSearchResult
 
         assert PlainShape(3).sigma is None and MultiShape((2, 1)).sigma is None
@@ -457,8 +484,7 @@ class TestRecords:
         assert CliqueSearchResult((), True, 1).states == 0
         assert CliqueCountResult(0, True, 1).states == 0
         style = RenderStyle()
-        assert (style.dx, style.dy, style.radius, style.margin, style.palette) == (
-            40, 60, 6, 40, PALETTE)
+        assert (style.dx, style.dy, style.radius) == (40, 60, 6)
         assert RenderStyle(dx=10).dx == 10 and RenderStyle(dx=10) != style
 
     def test_multi_shape_parts_are_normalised(self):

@@ -1,5 +1,7 @@
 """SVG rendering: determinism and basic structure."""
 
+import pytest
+
 from cobweb import Natural, construct_tiling, term
 from cobweb.render import RenderStyle, render_tiling_svg
 
@@ -41,3 +43,14 @@ def test_style_is_honoured():
     obj = {"family": "natural", "span": [1, 2], "blocks": [], "provenance": ""}
     small = render_tiling_svg(obj, [1, 2], RenderStyle(radius=3))
     assert 'r="3"' in small
+
+
+@pytest.mark.parametrize("levels, message", [
+    ([[1], [1, 2], [1]], "vertex 1 of level 3 is not on the layer"),
+    ([[0], [1, 2]], "vertex 0 of level 1 is not on the layer"),
+], ids=["above-the-top", "vertex-0"])
+def test_vertex_off_layer_refused(levels, message):
+    obj = {"family": "natural", "span": [1, 2], "blocks": [
+        {"span": [1, 2], "levels": levels, "sigma": [1, 2]}]}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        render_tiling_svg(obj, _sizes(Natural(), 1, 2))

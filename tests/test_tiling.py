@@ -825,6 +825,17 @@ class TestTilingJson:
                 assert values(found) == values(parts), parts
                 assert list(found) == sorted(found, reverse=True)
 
+    def test_shape_inference_reads_each_term_a_few_times(self):
+        # one block of n one-vertex levels on natural <1->n> is the
+        # composition of n ones; the search reads term(1..n) once, not
+        # term(1..b) for every b (n^2 / 2 cache hits)
+        n = 2000
+        obj = {"family": "natural", "span": [1, n], "blocks": [
+            {"span": [1, n], "levels": [[1]] * n, "sigma": list(range(1, n + 1))}]}
+        hits = term.cache_info().hits
+        assert tiling_from_json(obj).kind == MultiShape((1,) * n)
+        assert term.cache_info().hits - hits <= 4 * n
+
     @pytest.mark.parametrize("obj", [
         [],
         {"span": [1, 2], "blocks": []},
