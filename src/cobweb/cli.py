@@ -198,26 +198,13 @@ def _emit_tiling(args, tiling: tl.Tiling) -> int:
     return 0 if report.valid else 1
 
 
-def _refuse_over_cap(args, block_count) -> None:
-    """Refuse a construction of more than --cap-vertices blocks up front.
-    An input whose block count cannot be computed is left to the
-    construction, which reports its error as it would without this check."""
-    try:
-        blocks = block_count()
-    except (CobwebError, ValueError):
-        return
-    if blocks > args.cap_vertices:
-        raise CapExceeded(f"tiling has {blocks} blocks, over the cap {args.cap_vertices}")
-
-
 def cmd_tile(args) -> int:
     from . import tiling as tl
-    from .geometry import build_layer
 
     F = parse_family_spec(args.family)
     strategy = _strategy(args)
-    _refuse_over_cap(args, lambda: fnomial(F, args.n, build_layer(F, args.k, args.n).m))
-    return _emit_tiling(args, tl.construct_tiling(F, args.k, args.n, strategy))
+    return _emit_tiling(args, tl.construct_tiling(F, args.k, args.n, strategy,
+                                                  block_cap=args.cap_vertices))
 
 
 def cmd_multitile(args) -> int:
@@ -226,8 +213,8 @@ def cmd_multitile(args) -> int:
     F = parse_family_spec(args.family)
     parts = _parse_parts(args.parts)
     strategy = _strategy(args)
-    _refuse_over_cap(args, lambda: multi_fnomial(F, parts) if sum(parts) == args.n else 0)
-    return _emit_tiling(args, tl.construct_multi_tiling(F, args.n, parts, strategy))
+    return _emit_tiling(args, tl.construct_multi_tiling(F, args.n, parts, strategy,
+                                                        block_cap=args.cap_vertices))
 
 
 def cmd_count_tilings(args) -> int:

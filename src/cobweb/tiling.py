@@ -43,9 +43,10 @@ from collections import Counter
 from collections.abc import Iterator
 from functools import lru_cache, reduce
 from math import factorial
-from operator import or_
+from operator import lshift, or_, xor
 
-from .errors import CapExceeded, TilingFormatError
+from .coefficients import fnomial, multi_fnomial
+from .errors import CapExceeded, CobwebError, TilingFormatError
 from .fsequence import (
     FSequence,
     composition,
@@ -65,7 +66,6 @@ from .geometry import (
     ShapeFamily,
     _unwind,
     assemble_blocks,
-    bits,
     block_defects,
     block_family,
     block_from_json,
@@ -299,22 +299,41 @@ def _construction_layer(F: FSequence, k: int, n: int) -> Layer:
     return layer
 
 
+def _refuse_over_cap(count, block_cap: int) -> None:
+    """Refuse a construction of more than `block_cap` blocks before any
+    work; `count` gives its block count, an F-nomial.  An input whose
+    count cannot be computed has no tiling, and the construction reports
+    its error as it would without this check."""
+    try:
+        blocks = count()
+    except CobwebError:  # a term off its table, or no integral count
+        return
+    if blocks > block_cap:
+        raise CapExceeded(f"tiling has {blocks} blocks, over the cap {block_cap}")
+
+
 def construct_tiling(
-    F: FSequence, k: int, n: int, strategy: ChoiceStrategy | None = None
+    F: FSequence, k: int, n: int, strategy: ChoiceStrategy | None = None, *,
+    block_cap: int = DEFAULT_BLOCK_CAP,
 ) -> Tiling:
-    """Build one tiling of <k -> n> by the recursive construction."""
+    """Build one tiling of <k -> n> by the recursive construction, refused
+    over `block_cap` blocks."""
     layer = _construction_layer(F, k, n)
+    _refuse_over_cap(lambda: fnomial(F, n, layer.m), block_cap)
     return _construct(layer, PlainShape(layer.m), _plain_step, (k, layer.m), strategy,
                       "construct")
 
 
 def construct_multi_tiling(
-    F: FSequence, n: int, parts, strategy: ChoiceStrategy | None = None
+    F: FSequence, n: int, parts, strategy: ChoiceStrategy | None = None, *,
+    block_cap: int = DEFAULT_BLOCK_CAP,
 ) -> Tiling:
-    """Partition <1 -> n> into multi-blocks over the given composition."""
+    """Partition <1 -> n> into multi-blocks over the given composition,
+    refused over `block_cap` blocks."""
     parts = composition(parts)
     if sum(parts) != n:
         raise ValueError(f"composition {parts} does not sum to {n}")
+    _refuse_over_cap(lambda: multi_fnomial(F, parts), block_cap)
     return _construct(build_layer(F, 1, n), MultiShape(parts), _multi_step, parts, strategy,
                       "construct-multi")
 
@@ -460,8 +479,9 @@ def count_construction_tilings(F: FSequence, k: int, n: int) -> int:
 
 # About the most bytes the memo of `enumerate_all_tilings` takes.  An entry
 # is counted as its key's volume bits plus 128 bytes of dict slot, key and
-# count objects (110 to 150 measured on CPython 3.11).  Past the budget
-# lookups go on but nothing is added, so counts stay exact.
+# count objects (110 to 150 measured on CPython 3.11).  A full memo takes
+# no entry and is no longer read, and no node computes a key for it; a
+# miss only costs nodes, so counts stay exact.
 MEMO_BYTES = 1 << 26
 
 # `enumerate_all_tilings` looks for its branch path among the lowest
@@ -500,6 +520,41 @@ def _blocks_on_paths(layer: Layer, blocks) -> list[int]:
         holders = [int.from_bytes(row, "little") for row in rows]
         on_path = [prefix & held for prefix in on_path for held in holders]
     return on_path
+
+
+def level_slicers(layer: Layer) -> list[tuple[int, tuple[int, ...]]]:
+    """Per level of two or more vertices, top level first: the paths
+    through vertex 1, `first`, and the shift (v - 1) * stride of each
+    vertex v, in `path_masks` order.  Level s's digit has stride the
+    product of the sizes above it, so its vertex-1 paths are runs of
+    `stride` ones every size * stride bits, and the paths through vertex
+    v are those shifted up by (v - 1) * stride."""
+    full = (1 << layer.volume()) - 1
+    slicers = []
+    stride = 1
+    for size in reversed(layer.level_sizes()):
+        if size > 1:
+            first = ((1 << stride) - 1) * full // ((1 << size * stride) - 1)
+            slicers.append((first, tuple(range(0, size * stride, stride))))
+        stride *= size
+    return slicers
+
+
+def orbit_key(covered: int, slicers: list[tuple[int, tuple[int, ...]]]) -> int:
+    """The image of a path bitmap under one relabelling of the vertices
+    inside each level: level by level (`level_slicers`), its vertices'
+    slices, the covered paths through each, brought down to vertex 1,
+    sorted in descending order and put back in that order.  Every step
+    relabels one level, so the key is g * covered for some relabelling g.
+    The exact cover fills the lowest paths first, and vertex 1 of every
+    level lies on path 0, so a level's slices are often in order already
+    and are then left where they are."""
+    for first, shifts in slicers:
+        slices = [covered >> shift & first for shift in shifts]
+        ordered = sorted(slices, reverse=True)
+        if ordered != slices:
+            covered = sum(map(lshift, ordered, shifts))
+    return covered
 
 
 def _clash_mask(on_path: list[int], mask: int) -> int:
@@ -551,14 +606,24 @@ def enumerate_all_tilings(
     a tie.
 
     The search is one loop over an explicit stack of open nodes, each
-    with its covered bitmap, live mask, the total when it opened and an
-    iterator over its branch blocks, so its depth is not bounded by the
-    interpreter's recursion limit.  Each finished subtree's count is
-    memoised on its covered bitmap when its node closes; the bitmap
-    fixes the live set.  The first `limit` tilings reached are collected;
-    the memo is read only once they are, since a hit skips a subtree's
-    tilings.  The memo stops growing at about MEMO_BYTES; lookups go on,
-    so the count stays exact.
+    with its covered bitmap, its orbit key, live mask, the total when it
+    opened and the mask of its branch blocks left, so its depth is not
+    bounded by the interpreter's recursion limit.  A collected tiling's
+    blocks are read off the stack, each the paths one node adds to the
+    one above it.  Each finished subtree's count is memoised when its
+    node closes, on the orbit key of its covered bitmap (`orbit_key`),
+    computed once when the node opens: the bitmap relabelled inside each
+    level, by sorting that level's vertices by the covered paths through
+    them.  The family takes every
+    level subset of the right sizes, so any relabelling inside the levels
+    maps blocks to blocks and tilings to tilings, and a covered set has
+    as many completions as its image; any relabelling keeps the count
+    exact, and no canonical form is needed.  The key is built from the
+    level sizes and the bitmap only.  The first `limit` tilings reached
+    are collected; the memo is read only once they are, since a hit
+    skips a subtree's tilings.  Once the memo holds about MEMO_BYTES it
+    is full: no key is computed and none is read, so the count stays
+    exact and a miss costs only nodes.
 
     Every node visited is counted, leaves and memo hits included, and the
     search stops (complete=False) at the first node over `node_budget`.
@@ -576,27 +641,36 @@ def enumerate_all_tilings(
     # the block is taken (a complement is never 0)
     keep = [0] * len(masks)
 
+    slicers = level_slicers(layer)
+
     found: list[tuple[int, ...]] = []
+    # each block by its path mask, to read a collected tiling off the stack
+    block_at = {mask: i for i, mask in enumerate(masks)} if limit else {}
     memo: dict[int, int] = {}
     room = MEMO_BYTES // (128 + volume // 8)
     scan_paths = max(1, SCAN_WORDS // (len(masks) // 64 + 1))
     total = 0
     nodes = 0
 
-    # open nodes, root first: (covered, live, total before, branch blocks
-    # left); chosen[i] is the block taken at stack[i]
-    stack: list[tuple[int, int, int, Iterator[int]]] = []
-    chosen: list[int] = []
+    # open nodes, root first: [covered, its orbit key or None, live, total
+    # before, branch blocks left as a mask]
+    stack: list[list] = []
+    # a full memo takes no entry, so its keys are neither computed nor read
+    keyed = room > 0
     covered, live = 0, (1 << len(masks)) - 1
     while True:
         nodes += 1
         if nodes > node_budget:
             break
+        # an internal node's key, kept in its frame for its memo entry
+        key = orbit_key(covered, slicers) if keyed and covered != full else None
         if covered == full:
             total += 1
             if len(found) < limit:
-                found.append(tuple(chosen))
-        elif len(found) >= limit and (known := memo.get(covered)) is not None:
+                # the block taken at each open node is what it adds to the next
+                steps = [frame[0] for frame in stack] + [covered]
+                found.append(tuple(map(block_at.__getitem__, map(xor, steps, steps[1:]))))
+        elif key is not None and len(found) >= limit and (known := memo.get(key)) is not None:
             total += known
         else:
             rest = ~covered & full
@@ -618,26 +692,28 @@ def enumerate_all_tilings(
                         branch, fewest = options, size
                         if size < 3:
                             break
-            stack.append((covered, live, total, bits(branch)))
-            chosen.append(-1)
+            stack.append([covered, key, live, total, branch])
         # climb to the deepest open node with a branch block left, closing
         # (and memoising) the finished nodes on the way
         while stack:
-            covered, live, before, pending = stack[-1]
-            b_idx = next(pending, -1)
-            if b_idx >= 0:
+            frame = stack[-1]
+            pending = frame[4]
+            if pending:
                 break
             stack.pop()
-            chosen.pop()
-            if len(memo) < room:
-                memo[covered] = total - before
+            if keyed:  # so the node has its key
+                memo[frame[1]] = total - frame[3]
+                keyed = len(memo) < room
         else:
             break
-        if not keep[b_idx]:
-            keep[b_idx] = ~_clash_mask(on_path, masks[b_idx])
-        chosen[-1] = b_idx
-        covered |= masks[b_idx]
-        live &= keep[b_idx]
+        low = pending & -pending
+        frame[4] = pending ^ low
+        b_idx = low.bit_length() - 1
+        clash = keep[b_idx]
+        if not clash:
+            clash = keep[b_idx] = ~_clash_mask(on_path, masks[b_idx])
+        covered = frame[0] | masks[b_idx]
+        live = frame[2] & clash
 
     tilings = tuple(  # the family is sorted, so its blocks at sorted indices are too
         Tiling(layer, tuple(blocks[i] for i in sorted(pick)), family, "exhaustive")
@@ -707,20 +783,25 @@ def _parts_from_cardinalities(F: FSequence, n: int, cards: list[int]) -> tuple[i
     (validation is multiset-based).
     """
     terms = [term(F, i) for i in range(1, min(n, len(cards)) + 1)]
-    return next(_unwind(_parts_search(terms, set(), Counter(cards), len(terms))), None) or None
+    parts: list[int] = []
+    next(_unwind(_parts_search(terms, set(), Counter(cards), len(terms), parts)), None)
+    return tuple(parts) or None
 
 
-def _parts_search(terms: list[int], failed: set, left: Counter, most: int) -> Iterator:
-    """Under `_unwind`: yields the first tuple of parts of at most `most`,
-    largest first, whose values term(1..b) make up `left`, if there is one;
-    a state with none is added to `failed`.  A part's values hold those of
-    every smaller part, so one scan takes term(1), term(2), ... out of the
-    shared `left` while each is there, up to the largest part that fits;
-    each smaller part tried gives one value back, so `left` is whole again
-    when the state fails."""
+def _parts_search(terms: list[int], failed: set, left: Counter, most: int,
+                  parts: list[int]) -> Iterator:
+    """Under `_unwind`: yields True once `parts` ends with parts of at
+    most `most`, largest first, whose values term(1..b) make up `left`, if
+    there are such; a state with none is added to `failed`, and `parts` is
+    left as it was.  A part's values hold those of every smaller part, so
+    one scan takes term(1), term(2), ... out of the shared `left` while
+    each is there, up to the largest part that fits; each smaller part
+    tried gives one value back, so `left` is whole again when the state
+    fails.  The search stops at its first answer, so the parts are built
+    in one list, one append per level."""
     total = left.total()
     if not total:
-        yield ()
+        yield True
         return
     state = (frozenset(item for item in left.items() if item[1]), most)
     if state in failed:
@@ -730,9 +811,11 @@ def _parts_search(terms: list[int], failed: set, left: Counter, most: int) -> It
         left[terms[b]] -= 1
         b += 1
     while b:
-        for rest in (yield _parts_search(terms, failed, left, b)):
-            yield (b, *rest)
+        parts.append(b)
+        if (yield _parts_search(terms, failed, left, b, parts)):
+            yield True
             return
+        parts.pop()
         b -= 1
         left[terms[b]] += 1
     failed.add(state)

@@ -10,6 +10,7 @@ import pytest
 
 from cobweb import (
     CapExceeded,
+    CobwebError,
     CustomTable,
     Exhaustive,
     Fp,
@@ -38,9 +39,10 @@ from cobweb import (
     tiling_from_json,
     verify_tiling,
 )
+from cobweb import geometry as geometry_module
 from cobweb import tiling as tiling_module
 from cobweb.tiling import VerificationReport, parse_strategy
-from cobweb.geometry import Block, block_family, blocks_disjoint, path_masks
+from cobweb.geometry import Block, bits, block_family, blocks_disjoint, iter_max_paths, path_masks
 from conftest import TABLE_B, compositions_of, cyclic_garbage, lambda_families
 
 
@@ -174,6 +176,23 @@ class TestConstructTiling:
         with pytest.raises(LambdaRuleError):
             construct_tiling(CustomTable((1, 2, 3)), 2, 3)
 
+    def test_block_cap_refuses_before_any_work(self):
+        # the block count is an F-nomial, read before the construction runs
+        with pytest.raises(CapExceeded, match=r"^tiling has 10 blocks, over the cap 9$"):
+            construct_tiling(Natural(), 3, 5, block_cap=9)
+        assert len(construct_tiling(Natural(), 3, 5, block_cap=10).blocks) == 10
+
+    @pytest.mark.parametrize("spec,k,n,error", [
+        ("table:[1,2,3]", 2, 5, "index 4 outside table of length 3"),
+        ("table:[1,3,2,5]", 3, 4, "carries no splitting rule"),
+        ("table:[2,3,4,5,6]", 4, 4, "not a multiple of 1_F = 2"),
+    ], ids=["short-table", "no-rule", "level-not-split"])
+    def test_block_cap_keeps_input_errors(self, spec, k, n, error):
+        # an input whose block count cannot be computed has no tiling: the
+        # construction reports its own error under any cap
+        with pytest.raises((CobwebError, ValueError), match=error):
+            construct_tiling(parse_family_spec(spec), k, n, block_cap=0)
+
 
 class TestStrategies:
     def test_lowest_labels_deterministic(self):
@@ -283,6 +302,15 @@ class TestMultiTiling:
     def test_composition_must_sum(self):
         with pytest.raises(ValueError):
             construct_multi_tiling(Natural(), 4, (2, 3))
+
+    def test_block_cap_refuses_before_any_work(self):
+        # fp:p=2 <1->7> over seven ones has 41,168,400 blocks: refused at once
+        with pytest.raises(CapExceeded,
+                           match=r"^tiling has 41168400 blocks, over the cap 200000$"):
+            construct_multi_tiling(Fp(2), 7, (1,) * 7)
+        with pytest.raises(CapExceeded, match=r"^tiling has 6 blocks, over the cap 5$"):
+            construct_multi_tiling(Natural(), 4, (2, 2), block_cap=5)
+        assert len(construct_multi_tiling(Natural(), 4, (2, 2), block_cap=6).blocks) == 6
 
 
 class TestVerify:
@@ -644,25 +672,101 @@ class TestExhaustiveOracle:
             enumerate_all_tilings(layer, PlainShape(8))
 
     @pytest.mark.parametrize("F,k,n,scan_words,total,nodes,states", [
-        (Natural(), 2, 6, tiling_module.SCAN_WORDS, 12142, 11_743, 8_714),
-        (Natural(), 4, 5, tiling_module.SCAN_WORDS, 44928, 7_471, 3_202),
-        (Fp(1), 3, 5, tiling_module.SCAN_WORDS, 7176824, 111_580, 54_756),
+        (Natural(), 2, 6, tiling_module.SCAN_WORDS, 12142, 2_011, 147),
+        (Natural(), 3, 5, tiling_module.SCAN_WORDS, 411168, 5_147, 2_874),
+        (Natural(), 4, 5, tiling_module.SCAN_WORDS, 44928, 185, 63),
+        (Fp(1), 3, 5, tiling_module.SCAN_WORDS, 7176824, 2_597, 1_164),
+        # a memo on the raw bitmap reaches this total in 907,718 nodes
+        (Natural(), 5, 6, tiling_module.SCAN_WORDS, 243319680, 1_358, 432),
         # 70 blocks take 2 words: windows of 2 and 3 paths
-        (Natural(), 4, 5, 4, 44928, 9_977, 4_093),
-        (Natural(), 4, 5, 6, 44928, 9_902, 4_107),
-    ], ids=["natural-2-6", "natural-4-5", "fp1-3-5", "natural-4-5-two-paths",
-            "natural-4-5-three-paths"])
+        (Natural(), 4, 5, 4, 44928, 259, 98),
+        (Natural(), 4, 5, 6, 44928, 261, 99),
+    ], ids=["natural-2-6", "natural-3-5", "natural-4-5", "fp1-3-5", "natural-5-6",
+            "natural-4-5-two-paths", "natural-4-5-three-paths"])
     def test_branching_rule_pinned(self, monkeypatch, F, k, n, scan_words, total, nodes,
                                    states):
         # the work of a count pins the branch path of every node, chosen
         # as the first window path with at most 2 live blocks, else the
-        # lowest with the fewest: another path, cutoff, tie-break or scan
-        # window changes the nodes or the states
+        # lowest with the fewest, and the orbit key of every memo entry:
+        # another path, cutoff, tie-break, scan window or key changes the
+        # nodes or the states
         monkeypatch.setattr(tiling_module, "SCAN_WORDS", scan_words)
         layer = build_layer(F, k, n)
         res = enumerate_all_tilings(layer, PlainShape(layer.m), limit=0)
         assert res.complete and res.total == total
         assert (res.nodes, res.states) == (nodes, states)
+
+    @pytest.mark.parametrize("F,k,n,parts", [
+        (Natural(), 2, 4, None), (Fp(1), 2, 5, None),
+        (CustomTable((1, 2, 2, 1, 4, 3)), 4, 6, None), (Natural(), 1, 4, (2, 2)),
+    ], ids=["natural-2-4", "fp1-2-5", "certificate", "natural-1-4-multi-2-2"])
+    def test_family_closed_under_level_relabellings(self, F, k, n, parts):
+        # the orbit keys rest on this: relabelling the vertices inside each
+        # level maps the family's blocks onto the family's blocks, so it
+        # maps tilings to tilings (fp:p=1 <2->5> has 1_F = 2_F)
+        layer = build_layer(F, k, n)
+        family = PlainShape(layer.m) if parts is None else MultiShape(parts)
+        blocks = {block.levels for block in block_family(layer, family).blocks}
+        rng = random.Random(7)
+        for _ in range(20):
+            perms = [rng.sample(range(1, size + 1), size) for size in layer.level_sizes()]
+            image = {tuple(tuple(sorted(perm[v - 1] for v in level))
+                           for perm, level in zip(perms, levels))
+                     for levels in blocks}
+            assert image == blocks
+
+    def test_orbit_key_is_a_relabelling_of_the_bitmap(self):
+        # on natural <2->4>, levels of 2, 3 and 4 vertices, the key of a
+        # path bitmap is its image under one of the 2!·3!·4! relabellings
+        layer = build_layer(Natural(), 2, 4)
+        paths = list(iter_max_paths(layer))
+        index = {path: r for r, path in enumerate(paths)}
+        relabellings = [
+            [index[tuple(perm[v - 1] for perm, v in zip(g, path))] for path in paths]
+            for g in itertools.product(*(itertools.permutations(range(1, size + 1))
+                                         for size in layer.level_sizes()))]
+        assert len(relabellings) == 288
+        masks = path_masks(layer, block_family(layer, PlainShape(3)).blocks)
+        rng = random.Random(3)
+        bitmaps = [rng.getrandbits(len(paths)) for _ in range(40)]
+        for _ in range(40):  # covered sets the search can reach: disjoint blocks
+            covered = 0
+            for mask in rng.sample(masks, rng.randrange(len(masks))):
+                if not covered & mask:
+                    covered |= mask
+            bitmaps.append(covered)
+        slicers = tiling_module.level_slicers(layer)
+        for covered in bitmaps:
+            images = {sum(1 << moved[r] for r in bits(covered)) for moved in relabellings}
+            assert tiling_module.orbit_key(covered, slicers) in images
+
+    def test_exact_cover_reads_no_overlap_masks(self, monkeypatch):
+        # the oracle stays independent of the clique search: its clash
+        # masks and orbit keys come from path masks and level sizes only
+        def refuse(blocks):
+            raise AssertionError("overlap_masks read")
+
+        monkeypatch.setattr(geometry_module, "overlap_masks", refuse)
+        for F, k, n, parts, total in [
+            (Natural(), 2, 6, None, 12142), (Natural(), 3, 5, None, 411168),
+            (Fp(1), 3, 5, None, 7176824), (CustomTable((1, 2, 2, 1, 4, 3)), 4, 6, None, 0),
+            (Natural(), 1, 4, (2, 2), 375),
+        ]:
+            layer = build_layer(F, k, n)
+            family = PlainShape(layer.m) if parts is None else MultiShape(parts)
+            res = enumerate_all_tilings(layer, family, limit=0)
+            assert res.complete and res.total == total
+
+    def test_full_memo_computes_no_key(self, monkeypatch):
+        # a memo with no room takes no entry, so no node computes a key
+        def refuse(covered, slicers):
+            raise AssertionError("key computed")
+
+        monkeypatch.setattr(tiling_module, "MEMO_BYTES", 0)
+        monkeypatch.setattr(tiling_module, "orbit_key", refuse)
+        layer = build_layer(Natural(), 4, 5)
+        res = enumerate_all_tilings(layer, PlainShape(layer.m), limit=0)
+        assert res.complete and res.total == 44928 and res.states == 0
 
     def test_search_deeper_than_recursion_limit(self):
         # one level of 1200 vertices: 1200 singleton blocks, one tiling,
