@@ -484,18 +484,6 @@ def count_construction_tilings(F: FSequence, k: int, n: int) -> int:
 # miss only costs nodes, so counts stay exact.
 MEMO_BYTES = 1 << 26
 
-# `enumerate_all_tilings` looks for its branch path among the lowest
-# uncovered paths only, as many as it can count in about SCAN_WORDS
-# 64-bit words of the live-block mask: every path up to about a thousand
-# blocks, 148 paths at 7008 blocks, 8 at 10^5 blocks.  Each
-# path looked at costs a pass over the mask, and on a large family a scan
-# of every path costs more per node than it saves.  The lowest path is
-# read first; the scan goes on past it, picking the next paths' block
-# masks out of `on_path` in one C-level pass, only while the fewest found
-# is 3 or more.
-SCAN_WORDS = 1 << 14
-
-
 # Maps the digits of `bin` to 0/1 selector bytes for `itertools.compress`.
 _SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
@@ -546,9 +534,12 @@ def orbit_key(covered: int, slicers: list[tuple[int, tuple[int, ...]]]) -> int:
     slices, the covered paths through each, brought down to vertex 1,
     sorted in descending order and put back in that order.  Every step
     relabels one level, so the key is g * covered for some relabelling g.
-    The exact cover fills the lowest paths first, and vertex 1 of every
-    level lies on path 0, so a level's slices are often in order already
-    and are then left where they are."""
+    The exact cover branches on the lowest uncovered path, so every path
+    below it is covered.  The bottom level's digit varies slowest, so its
+    vertices' paths are runs in that order: the lowest vertices' slices
+    are full, the largest a slice can be (relabelling the levels above
+    keeps a run in place), and lead already.  A level whose slices are
+    in order already is left where it is."""
     for first, shifts in slicers:
         slices = [covered >> shift & first for shift in shifts]
         ordered = sorted(slices, reverse=True)
@@ -599,11 +590,8 @@ def enumerate_all_tilings(
     (`_clash_mask`), never read from `geometry.overlap_masks`, so this
     oracle stays independent of the clique search.  The search carries
     the live blocks, those disjoint from the covered paths; taking a block
-    drops every block in its clash mask.  It branches on the first
-    uncovered path with at most 2 live blocks, or else on the one with
-    the fewest (Knuth's Algorithm X rule), looking at only as many of the
-    lowest uncovered paths as SCAN_WORDS allows and taking the lowest on
-    a tie.
+    drops every block in its clash mask.  Every node branches on the
+    lowest uncovered path, trying its live blocks in family order.
 
     The search is one loop over an explicit stack of open nodes, each
     with its covered bitmap, its orbit key, live mask, the total when it
@@ -648,7 +636,6 @@ def enumerate_all_tilings(
     block_at = {mask: i for i, mask in enumerate(masks)} if limit else {}
     memo: dict[int, int] = {}
     room = MEMO_BYTES // (128 + volume // 8)
-    scan_paths = max(1, SCAN_WORDS // (len(masks) // 64 + 1))
     total = 0
     nodes = 0
 
@@ -673,25 +660,8 @@ def enumerate_all_tilings(
         elif key is not None and len(found) >= limit and (known := memo.get(key)) is not None:
             total += known
         else:
-            rest = ~covered & full
-            low = rest & -rest
+            low = ~covered & (covered + 1)  # the lowest uncovered path
             branch = on_path[low.bit_length() - 1] & live
-            fewest = branch.bit_count()
-            # a 2-way branch can only be beaten by a dead end or a forced
-            # move, and scanning on for one costs more than it saves, so
-            # the first path with at most 2 live blocks is taken
-            if fewest > 2:
-                # the uncovered paths past the lowest, in one C-level pass
-                # over the bits of `rest` as 0/1 bytes
-                selectors = bin(rest)[:1:-1].encode().translate(_SELECTORS)
-                window = itertools.islice(itertools.compress(on_path, selectors), 1, scan_paths)
-                for held in window:
-                    options = held & live
-                    size = options.bit_count()
-                    if size < fewest:
-                        branch, fewest = options, size
-                        if size < 3:
-                            break
             stack.append([covered, key, live, total, branch])
         # climb to the deepest open node with a branch block left, closing
         # (and memoising) the finished nodes on the way

@@ -671,26 +671,18 @@ class TestExhaustiveOracle:
         with pytest.raises(CapExceeded):
             enumerate_all_tilings(layer, PlainShape(8))
 
-    @pytest.mark.parametrize("F,k,n,scan_words,total,nodes,states", [
-        (Natural(), 2, 6, tiling_module.SCAN_WORDS, 12142, 2_011, 147),
-        (Natural(), 3, 5, tiling_module.SCAN_WORDS, 411168, 5_147, 2_874),
-        (Natural(), 4, 5, tiling_module.SCAN_WORDS, 44928, 185, 63),
-        (Fp(1), 3, 5, tiling_module.SCAN_WORDS, 7176824, 2_597, 1_164),
+    @pytest.mark.parametrize("F,k,n,total,nodes,states", [
+        (Natural(), 2, 6, 12142, 2_251, 175),
+        (Natural(), 3, 5, 411168, 28_814, 13_543),
+        (Natural(), 4, 5, 44928, 261, 96),
+        (Fp(1), 3, 5, 7176824, 2_219, 923),
         # a memo on the raw bitmap reaches this total in 907,718 nodes
-        (Natural(), 5, 6, tiling_module.SCAN_WORDS, 243319680, 1_358, 432),
-        # 70 blocks take 2 words: windows of 2 and 3 paths
-        (Natural(), 4, 5, 4, 44928, 259, 98),
-        (Natural(), 4, 5, 6, 44928, 261, 99),
-    ], ids=["natural-2-6", "natural-3-5", "natural-4-5", "fp1-3-5", "natural-5-6",
-            "natural-4-5-two-paths", "natural-4-5-three-paths"])
-    def test_branching_rule_pinned(self, monkeypatch, F, k, n, scan_words, total, nodes,
-                                   states):
-        # the work of a count pins the branch path of every node, chosen
-        # as the first window path with at most 2 live blocks, else the
-        # lowest with the fewest, and the orbit key of every memo entry:
-        # another path, cutoff, tie-break, scan window or key changes the
-        # nodes or the states
-        monkeypatch.setattr(tiling_module, "SCAN_WORDS", scan_words)
+        (Natural(), 5, 6, 243319680, 2_683, 832),
+    ], ids=["natural-2-6", "natural-3-5", "natural-4-5", "fp1-3-5", "natural-5-6"])
+    def test_branching_rule_pinned(self, F, k, n, total, nodes, states):
+        # the work of a count pins the branch path of every node, the
+        # lowest uncovered one, and the orbit key of every memo entry:
+        # another path, block order or key changes the nodes or the states
         layer = build_layer(F, k, n)
         res = enumerate_all_tilings(layer, PlainShape(layer.m), limit=0)
         assert res.complete and res.total == total
@@ -797,8 +789,9 @@ class TestExhaustiveOracle:
     ], ids=["natural-2-5", "natural-4-5", "powers-2-3", "fp1-2-5", "certificate",
             "natural-1-4-multi-2-2"])
     def test_agrees_with_lowest_path_reference(self, F, k, n, parts):
-        # the branching rule and the memo give the reference's
-        # total, and every collected tiling is one of the reference's
+        # the memo gives the reference's total, and as both take the
+        # lowest path and try its blocks in family order, the collected
+        # tilings are the start of the reference's list, in its order
         layer = build_layer(F, k, n)
         family = PlainShape(layer.m) if parts is None else MultiShape(parts)
         every = lowest_path_tilings(layer, family)
@@ -808,10 +801,7 @@ class TestExhaustiveOracle:
         for limit in (1, 7, len(every) + 1):
             res = enumerate_all_tilings(layer, family, limit=limit)
             assert res.complete and res.total == len(every)
-            collected = [t.blocks for t in res.tilings]
-            assert len(collected) == min(limit, len(every))
-            assert len(set(collected)) == len(collected)
-            assert set(collected) <= set(every)
+            assert [t.blocks for t in res.tilings] == every[:limit]
 
     @pytest.mark.parametrize("F,k,n,parts", [
         (Natural(), 2, 5, None), (Fp(1), 3, 5, None), (Powers(2), 2, 3, None),
@@ -834,20 +824,14 @@ class TestExhaustiveOracle:
             clash = sum(1 << b for b, other in enumerate(masks) if mask & other)
             assert tiling_module._clash_mask(on_path, mask) == clash
 
-    @pytest.mark.parametrize("scan_words,memo_bytes,states", [
-        (1, tiling_module.MEMO_BYTES, None), (tiling_module.SCAN_WORDS, 0, 0),
-        (tiling_module.SCAN_WORDS, 256, 1),
-    ], ids=["lowest-path-only", "no-memo", "memo-of-one"])
-    def test_narrow_scan_and_full_memo_keep_the_total(self, monkeypatch, scan_words,
-                                                      memo_bytes, states):
-        # looking at one path per node, or a memo with no room left, changes
-        # the work but not the count
-        monkeypatch.setattr(tiling_module, "SCAN_WORDS", scan_words)
+    @pytest.mark.parametrize("memo_bytes,states", [(0, 0), (256, 1)],
+                             ids=["no-memo", "memo-of-one"])
+    def test_full_memo_keeps_the_total(self, monkeypatch, memo_bytes, states):
+        # a memo with no room left changes the work but not the count
         monkeypatch.setattr(tiling_module, "MEMO_BYTES", memo_bytes)
         layer = build_layer(Natural(), 4, 5)
         res = enumerate_all_tilings(layer, PlainShape(layer.m), limit=0)
-        assert res.complete and res.total == 44928
-        assert states is None or res.states == states
+        assert res.complete and res.total == 44928 and res.states == states
 
     def test_searches_leave_no_cyclic_garbage(self):
         # each search holds its memo in plain locals, so it is freed when
