@@ -11,7 +11,8 @@ path sets; the path set of a block is the product of its level subsets,
 so two blocks are max-disjoint exactly when they are disjoint on some
 level.  The two bitmask indices live here: `overlap_masks` (block to
 block) and `path_masks` (block to path, for the cap-guarded oracles that
-do materialise paths), with `bits` as the one set-bit walk.
+do materialise paths, built from the paths through each level's vertices,
+`level_paths`), with `bits` as the one set-bit walk.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import itertools
 from collections import Counter
 from collections.abc import Iterator
 from math import comb, factorial, prod
-from operator import itemgetter
+from operator import itemgetter, mul
 from types import GeneratorType
 
 from .coefficients import falling_f_factorial
@@ -322,26 +323,54 @@ def overlapping_pairs(blocks) -> Iterator[tuple[int, int]]:
             yield i, i + 1 + j
 
 
+def level_paths(layer: Layer) -> list[tuple[int, int, int]]:
+    """Per level, bottom to top: its size, its stride and `first`, the
+    bitmask of the paths through its vertex 1, in `iter_max_paths` order.
+
+    Path (v_k, ..., v_n) has the mixed-radix index sum (v_s - 1) * stride_s,
+    where stride_s is the product of the level sizes above s.  So the
+    paths through vertex 1 of level s are runs of stride_s ones every
+    size_s * stride_s bits, and those through vertex v are `first` shifted
+    up by (v - 1) * stride_s."""
+    sizes = layer.level_sizes()
+    strides = list(itertools.accumulate(sizes[:0:-1], mul, initial=1))[::-1]
+    volume = sizes[0] * strides[0]
+    out = []
+    for size, stride in zip(sizes, strides):
+        # one run, doubled until the copies reach the volume: linear in
+        # the volume, where a quotient of two masks is quadratic
+        first, period = (1 << stride) - 1, size * stride
+        while period < volume:
+            first |= first << period
+            period *= 2
+        out.append((size, stride, first & (1 << volume) - 1))
+    return out
+
+
 def path_masks(layer: Layer, blocks) -> list[int]:
     """For each block, the bitmask of its maximal paths: bit r is the r-th
     path of `iter_max_paths(layer)`.
 
-    Path (v_k, ..., v_n) has the mixed-radix index sum (v_s - 1) * stride_s,
-    where stride_s is the product of the level sizes above s, so a block's
-    mask is built from the top level down, one shifted copy of the mask so
-    far per vertex.  Every vertex must lie on its level of the layer; the
-    caller bounds the volume.
+    A block's paths are the product of its level subsets, so its mask is
+    the AND over its levels of the paths through each level's subset, the
+    OR of that level's vertices' paths (`level_paths`).  Blocks share
+    level subsets, so each distinct subset of a level is ORed once.
+    Every vertex must lie on its level of the layer; the caller bounds
+    the volume.
     """
-    sizes = layer.level_sizes()[::-1]
+    per_level = level_paths(layer)
+    unions: list[dict[tuple[int, ...], int]] = [{} for _ in per_level]
     masks = []
     for block in blocks:
-        mask, stride = 1, 1
-        for level, size in zip(block.levels[::-1], sizes):
-            shifted = 0
-            for v in level:
-                shifted |= mask << (v - 1) * stride
-            mask = shifted
-            stride *= size
+        mask = -1  # every block has a level, so the ANDs leave it nonnegative
+        for level, (_, stride, first), union in zip(block.levels, per_level, unions):
+            paths = union.get(level)
+            if paths is None:
+                paths = 0
+                for v in level:
+                    paths |= first << (v - 1) * stride
+                union[level] = paths
+            mask &= paths
         masks.append(mask)
     return masks
 

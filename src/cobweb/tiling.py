@@ -70,6 +70,7 @@ from .geometry import (
     block_family,
     block_from_json,
     build_layer,
+    level_paths,
     overlapping_pairs,
     path_masks,
     shape_values,
@@ -484,48 +485,46 @@ def count_construction_tilings(F: FSequence, k: int, n: int) -> int:
 # miss only costs nodes, so counts stay exact.
 MEMO_BYTES = 1 << 26
 
-# Maps the digits of `bin` to 0/1 selector bytes for `itertools.compress`.
-_SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
-
-def _blocks_on_paths(layer: Layer, blocks) -> list[int]:
+def _blocks_on_paths(layer: Layer, blocks) -> tuple[list[int], list[list[int]]]:
     """For each maximal path, in `path_masks` order, the bitmask of the
-    blocks through it.
+    blocks through it; and per level, the bitmask of the blocks holding
+    each vertex, vertex v at index v.
 
-    A path lies in a block exactly when each of its vertices lies in the
-    block's level, so per level each vertex gets the bitmask of the blocks
-    holding it (set in byte rows, linear in the level incidences), and the
-    paths' masks are prefix ANDs of those, the last level varying fastest.
+    Per level, each block sets its bit in the byte row of its subset
+    there, and a vertex's mask is the OR of the rows of the subsets
+    holding it, so each distinct subset is walked once.  A path lies in a
+    block exactly when each of its vertices lies in the block's level, so
+    the paths' masks are prefix ANDs of the vertex masks, the last level
+    varying fastest.
     """
     width = (len(blocks) + 7) // 8
     on_path = [(1 << len(blocks)) - 1]
+    holders = []
     for pos, size in enumerate(layer.level_sizes()):
-        rows = [bytearray(width) for _ in range(size)]
+        rows: dict[tuple[int, ...], bytearray] = {}
         for b_idx, block in enumerate(blocks):
-            byte, bit = b_idx >> 3, 1 << (b_idx & 7)
-            for v in block.levels[pos]:
-                rows[v - 1][byte] |= bit
-        holders = [int.from_bytes(row, "little") for row in rows]
-        on_path = [prefix & held for prefix in on_path for held in holders]
-    return on_path
+            level = block.levels[pos]
+            row = rows.get(level)
+            if row is None:
+                row = rows[level] = bytearray(width)
+            row[b_idx >> 3] |= 1 << (b_idx & 7)
+        held = [0] * (size + 1)
+        for level, row in rows.items():
+            mask = int.from_bytes(row, "little")
+            for v in level:
+                held[v] |= mask
+        on_path = [prefix & through for prefix in on_path for through in held[1:]]
+        holders.append(held)
+    return on_path, holders
 
 
 def level_slicers(layer: Layer) -> list[tuple[int, tuple[int, ...]]]:
     """Per level of two or more vertices, top level first: the paths
     through vertex 1, `first`, and the shift (v - 1) * stride of each
-    vertex v, in `path_masks` order.  Level s's digit has stride the
-    product of the sizes above it, so its vertex-1 paths are runs of
-    `stride` ones every size * stride bits, and the paths through vertex
-    v are those shifted up by (v - 1) * stride."""
-    full = (1 << layer.volume()) - 1
-    slicers = []
-    stride = 1
-    for size in reversed(layer.level_sizes()):
-        if size > 1:
-            first = ((1 << stride) - 1) * full // ((1 << size * stride) - 1)
-            slicers.append((first, tuple(range(0, size * stride, stride))))
-        stride *= size
-    return slicers
+    vertex v, in `path_masks` order (`geometry.level_paths`)."""
+    return [(first, tuple(range(0, size * stride, stride)))
+            for size, stride, first in reversed(level_paths(layer)) if size > 1]
 
 
 def orbit_key(covered: int, slicers: list[tuple[int, tuple[int, ...]]]) -> int:
@@ -548,12 +547,16 @@ def orbit_key(covered: int, slicers: list[tuple[int, tuple[int, ...]]]) -> int:
     return covered
 
 
-def _clash_mask(on_path: list[int], mask: int) -> int:
-    """Bitmask of the blocks sharing a path with the block of path mask
-    `mask` (the block included): the OR of `on_path` over its paths, in
-    one C-level pass over the mask's bits as 0/1 bytes."""
-    selectors = bin(mask)[:1:-1].encode().translate(_SELECTORS)
-    return reduce(or_, itertools.compress(on_path, selectors), 0)
+def _blocks_meeting(holders: list[list[int]], levels: Levels) -> int:
+    """Bitmask of the blocks sharing a path with the block of these level
+    subsets (the block included), from the per-level vertex masks of
+    `_blocks_on_paths`.  The block's paths are the product of its levels,
+    so the OR over its paths of the blocks through each is the AND over
+    its levels of the blocks holding one of its vertices there."""
+    meet = -1
+    for held, level in zip(holders, levels):
+        meet &= reduce(or_, map(held.__getitem__, level), 0)
+    return meet
 
 
 class TilingSearchResult(Record):
@@ -583,12 +586,14 @@ def enumerate_all_tilings(
     """Every tiling of the layer by blocks of the family, by exact cover.
 
     Backtracking over the blocks of `block_family` on the path masks of
-    `geometry.path_masks`.  `on_path`, the blocks through each path, is
-    built by `_blocks_on_paths`: a per-level vertex index of the blocks,
-    then prefix ANDs over the levels.  A block's clash mask, the blocks
-    sharing a path with it, is the OR of `on_path` over its path mask
-    (`_clash_mask`), never read from `geometry.overlap_masks`, so this
-    oracle stays independent of the clique search.  The search carries
+    `geometry.path_masks`.  `_blocks_on_paths` builds, per level, the
+    mask of the blocks holding each vertex, and from those `on_path`, the
+    blocks through each path, as prefix ANDs over the levels.  A block's
+    clash mask, the blocks sharing a path with it, is the AND over its
+    levels of the OR of its vertices' masks (`_blocks_meeting`), built
+    the first time the block is taken.  Both come from this module's own
+    per-level masks, never from `geometry.overlap_masks`, so this oracle
+    stays independent of the clique search.  The search carries
     the live blocks, those disjoint from the covered paths; taking a block
     drops every block in its clash mask.  Every node branches on the
     lowest uncovered path, trying its live blocks in family order.
@@ -624,7 +629,7 @@ def enumerate_all_tilings(
     blocks = block_family(layer, family, block_cap=block_cap).blocks
     full = (1 << volume) - 1
     masks = path_masks(layer, blocks)
-    on_path = _blocks_on_paths(layer, blocks)
+    on_path, holders = _blocks_on_paths(layer, blocks)
     # per block, the complement of its clash mask, built the first time
     # the block is taken (a complement is never 0)
     keep = [0] * len(masks)
@@ -681,7 +686,7 @@ def enumerate_all_tilings(
         b_idx = low.bit_length() - 1
         clash = keep[b_idx]
         if not clash:
-            clash = keep[b_idx] = ~_clash_mask(on_path, masks[b_idx])
+            clash = keep[b_idx] = ~_blocks_meeting(holders, blocks[b_idx].levels)
         covered = frame[0] | masks[b_idx]
         live = frame[2] & clash
 

@@ -12,7 +12,9 @@ from cobweb import (
     Natural,
     NonIntegralCoefficient,
     CustomTable,
+    Powers,
     TLambdaAB,
+    build_layer,
     check_fnomial_recurrence,
     check_identities,
     check_multi_recurrence,
@@ -23,7 +25,13 @@ from cobweb import (
     multi_fnomial,
     term,
 )
-from conftest import compositions_of, lambda_families
+from conftest import TABLE_A, TABLE_B, TABLE_C, TABLE_E, TABLE_F, compositions_of, lambda_families
+
+# the lambda roster and the example tables the suite builds
+PRODUCT_FAMILIES = lambda_families() + [
+    Powers(1), TABLE_A, TABLE_B, TABLE_C, TABLE_E, TABLE_F,
+    CustomTable((1, 2, 2, 1, 4, 3)), CustomTable((1, 2, 4, 5, 7)),
+]
 
 
 class TestFactorials:
@@ -52,6 +60,25 @@ class TestFactorials:
     def test_falling_rejects_n_below_m(self):
         with pytest.raises(ValueError):
             falling_f_factorial(Natural(), 2, 3)
+
+    @pytest.mark.parametrize("F", PRODUCT_FAMILIES, ids=lambda F: F.spec_string())
+    def test_balanced_product_equals_left_to_right(self, F):
+        # every n <= 60 (a table's length at most) and every m <= n,
+        # n = 0 and m = 0 included
+        top = min(60, len(F.terms)) if isinstance(F, CustomTable) else 60
+        whole = 1
+        for n in range(top + 1):
+            if n:
+                whole *= term(F, n)
+            assert f_factorial(F, n) == whole
+            falling = 1
+            for m in range(n + 1):
+                assert falling_f_factorial(F, n, m) == falling, (n, m)
+                if m < n:
+                    falling *= term(F, n - m)
+
+    def test_volume_of_a_deep_layer(self):
+        assert build_layer(Natural(), 1, 100_000).volume() == math.factorial(100_000)
 
 
 class TestFnomial:

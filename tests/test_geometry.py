@@ -22,7 +22,8 @@ from cobweb import (
     term,
 )
 from cobweb import geometry
-from cobweb.geometry import _unwind, family_size, shape_values
+from cobweb.geometry import Block, _unwind, family_size, path_masks, shape_values
+from cobweb.tiling import Seeded, Tiling, construct_multi_tiling, construct_tiling, verify_tiling
 from conftest import TABLE_B, TABLE_C, TABLE_E, cyclic_garbage, lambda_families
 
 
@@ -209,18 +210,51 @@ class TestDisjointness:
         (CustomTable((1, 2, 2, 1, 4, 3)), 4, 6),
     ])
     def test_path_masks_equal_path_index(self, F, k, n):
-        # bit r of a block's mask is set exactly when the r-th path of
-        # iter_max_paths lies in the block's product of level subsets
-        from cobweb.geometry import path_masks
-
         layer = build_layer(F, k, n)
-        blocks = block_family(layer, PlainShape(layer.m)).blocks
-        index_of = {path: r for r, path in enumerate(iter_max_paths(layer))}
-        expect = [
-            sum(1 << index_of[path] for path in itertools.product(*block.levels))
-            for block in blocks
-        ]
-        assert path_masks(layer, blocks) == expect
+        assert_path_masks_explicit(layer, block_family(layer, PlainShape(layer.m)).blocks)
+
+    @pytest.mark.parametrize("F, n, parts", [
+        (Natural(), 4, (2, 2)), (Natural(), 5, (2, 1, 2)), (Fp(1), 5, (1, 3, 1)),
+    ], ids=["natural-4-2-2", "natural-5-2-1-2", "fp1-5-1-3-1"])
+    def test_path_masks_equal_path_index_multi(self, F, n, parts):
+        layer = build_layer(F, 1, n)
+        assert_path_masks_explicit(layer, block_family(layer, MultiShape(parts)).blocks)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_path_masks_equal_path_index_of_constructions(self, seed):
+        # blocks in construction order, not family order, each a tiling
+        for tiling in (construct_tiling(Natural(), 3, 5, Seeded(seed)),
+                       construct_tiling(Fp(1), 3, 5, Seeded(seed)),
+                       construct_tiling(Natural(), 2, 5, Seeded(seed)),
+                       construct_multi_tiling(Natural(), 5, (2, 1, 2), Seeded(seed))):
+            assert_path_masks_explicit(tiling.layer, tiling.blocks)
+
+    @pytest.mark.parametrize("pos", [0, 1, 2])
+    def test_path_masks_of_a_repeated_vertex(self, pos):
+        # fp:p=1 <2->4> has levels of 1, 2 and 3 vertices; a level that
+        # repeats a vertex leaves the block's mask as it was but raises its
+        # path count, so the explicit cover reports an overlap
+        tiling = construct_tiling(Fp(1), 2, 4)
+        first = tiling.blocks[0]
+        levels = list(first.levels)
+        levels[pos] = (levels[pos][0],) + levels[pos]
+        bad = Block(first.span, tuple(levels), first.sigma)
+        assert bad.path_count() > first.path_count()
+        assert path_masks(tiling.layer, [bad]) == path_masks(tiling.layer, [first])
+        report = verify_tiling(Tiling(tiling.layer, (bad,) + tiling.blocks[1:], tiling.kind,
+                                      "tampered"))
+        assert "explicit path sets overlap" in report.violations
+
+
+def assert_path_masks_explicit(layer, blocks):
+    # bit r of a block's mask is set exactly when the r-th path of
+    # iter_max_paths lies in the block's product of level subsets
+    index_of = {path: r for r, path in enumerate(iter_max_paths(layer))}
+    expect = [
+        sum(1 << index_of[path] for path in set(itertools.product(*block.levels)))
+        for block in blocks
+    ]
+    assert path_masks(layer, blocks) == expect
 
 
 class TestEnumerateBlocks:

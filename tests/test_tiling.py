@@ -734,7 +734,8 @@ class TestExhaustiveOracle:
 
     def test_exact_cover_reads_no_overlap_masks(self, monkeypatch):
         # the oracle stays independent of the clique search: its clash
-        # masks and orbit keys come from path masks and level sizes only
+        # masks come from its own per-level vertex masks, its orbit keys
+        # from level sizes only
         def refuse(blocks):
             raise AssertionError("overlap_masks read")
 
@@ -811,18 +812,19 @@ class TestExhaustiveOracle:
             "natural-1-4-multi-2-2"])
     def test_path_index_and_clash_masks_match_path_masks(self, F, k, n, parts):
         # bit b of on_path[p] is bit p of block b's path mask, and a clash
-        # mask holds exactly the blocks whose path masks meet the block's
+        # mask, built from the per-level vertex masks, holds exactly the
+        # blocks whose path masks meet the block's
         layer = build_layer(F, k, n)
         family = PlainShape(layer.m) if parts is None else MultiShape(parts)
         blocks = block_family(layer, family).blocks
         masks = path_masks(layer, blocks)
-        on_path = tiling_module._blocks_on_paths(layer, blocks)
+        on_path, holders = tiling_module._blocks_on_paths(layer, blocks)
         assert len(on_path) == layer.volume()
         for p, through in enumerate(on_path):
             assert through == sum(1 << b for b, mask in enumerate(masks) if mask >> p & 1)
-        for mask in masks:
+        for block, mask in zip(blocks, masks):
             clash = sum(1 << b for b, other in enumerate(masks) if mask & other)
-            assert tiling_module._clash_mask(on_path, mask) == clash
+            assert tiling_module._blocks_meeting(holders, block.levels) == clash
 
     @pytest.mark.parametrize("memo_bytes,states", [(0, 0), (256, 1)],
                              ids=["no-memo", "memo-of-one"])
