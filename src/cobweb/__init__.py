@@ -79,8 +79,8 @@ _EXPORTS = {
         "block_count_formula",
         "build_block_graph",
         "clique_to_tiling",
+        "count_maximal_cliques",
         "count_size_d_cliques",
-        "enumerate_maximal_cliques",
         "enumerate_size_d_cliques",
         "find_clique",
         "tiling_to_clique",

@@ -98,9 +98,9 @@ class CliqueSearchResult(Record):
 
 
 class CliqueCountResult(Record):
-    """Number of size-d cliques; a lower bound when complete=False.
-    `nodes` counts the candidates tried and the remainder hits, `states`
-    the finished subtrees memoised (see `_size_d_cliques`)."""
+    """Number of cliques; a lower bound when complete=False.  `nodes`
+    counts the candidates tried and the remainder hits of a size-d count,
+    the calls of a maximal one; `states` the finished subtrees memoised."""
 
     __slots__ = _fields = ("total", "complete", "nodes", "states")
 
@@ -318,43 +318,44 @@ def count_size_d_cliques(
     return _size_d_cliques(graph, d, node_budget, None)[1]
 
 
-def enumerate_maximal_cliques(
+def count_maximal_cliques(
     graph: BlockGraph, *, node_budget: int = 5_000_000
-) -> CliqueSearchResult:
-    """All maximal cliques (Bron-Kerbosch with pivoting), sorted, by one
-    loop over an explicit stack of open nodes."""
-    out: list[tuple[int, ...]] = []
-    nodes = 0
-    # open nodes, root first: (candidates, excluded, branch vertices left, vertex taken)
-    stack: list[tuple] = []
+) -> CliqueCountResult:
+    """Number of maximal cliques (Bron-Kerbosch, Tomita's pivot), keeping
+    none: one loop over a stack of (P, X, branch vertices left) frames."""
+    adjacency = graph.adjacency
+    total = nodes = 0
+    stack: list[tuple[int, int, int]] = []  # open nodes, root first
     p, x = (1 << graph.vertex_count()) - 1, 0
     while True:
         nodes += 1
         if nodes > node_budget:
             break
-        if p == 0 and x == 0:
-            out.append(tuple(frame[3] for frame in stack))
+        if not p | x:
+            total += 1
         else:
             # pivot: candidate with the most neighbours inside p, lowest index wins
-            pivot, best = -1, -1
-            for u in bits(p | x):
-                size = (p & graph.adjacency[u]).bit_count()
+            pivot, best, rest = -1, -1, p | x
+            while rest:
+                u = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                size = (p & adjacency[u]).bit_count()
                 if size > best:
                     pivot, best = u, size
-            stack.append((p, x, bits(p & ~graph.adjacency[pivot]), -1))
+            stack.append((p, x, p & ~adjacency[pivot]))
         # climb to the deepest open node with a branch vertex left
         while stack:
-            p, x, pending, _ = stack[-1]
-            v = next(pending, -1)
-            if v >= 0:
+            p, x, pending = stack[-1]
+            if pending:
                 break
             stack.pop()
         else:
             break
-        stack[-1] = (p & ~(1 << v), x | 1 << v, pending, v)
-        p &= graph.adjacency[v]
-        x &= graph.adjacency[v]
-    return CliqueSearchResult(tuple(sorted(out)), nodes <= node_budget, nodes)
+        low = pending & -pending
+        stack[-1] = (p ^ low, x | low, pending ^ low)
+        near = adjacency[low.bit_length() - 1]
+        p, x = p & near, x & near
+    return CliqueCountResult(total, nodes <= node_budget, nodes)
 
 
 def clique_to_tiling(graph: BlockGraph, clique) -> Tiling:

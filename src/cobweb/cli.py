@@ -268,13 +268,12 @@ def cmd_graph(args) -> int:
         payload["clique"] = list(clique) if clique is not None else None
         lines.append(f"clique: {' '.join(map(str, clique)) if clique is not None else 'none'}")
     if args.count_max_cliques:
-        result = bg.enumerate_maximal_cliques(graph)
-        payload["maximal_cliques"] = len(result.cliques)
-        payload["complete"] = result.complete
-        lines.append(f"maximal cliques: {len(result.cliques)}"
+        result = bg.count_maximal_cliques(graph)
+        payload.update({"maximal_cliques": result.total, "complete": result.complete})
+        lines.append(f"maximal cliques: {result.total}"
                      + ("" if result.complete else " (TRUNCATED)"))
     _emit(args, payload, lines)
-    return 0
+    return 0 if payload.get("complete", True) else 1
 
 
 def cmd_verify(args) -> int:

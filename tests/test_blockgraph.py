@@ -15,15 +15,16 @@ from cobweb import (
     PlainShape,
     Powers,
     SearchBudgetExceeded,
+    Tiling,
     block_count_formula,
     block_family,
     blocks_disjoint,
     build_block_graph,
     build_layer,
     clique_to_tiling,
+    count_maximal_cliques,
     count_size_d_cliques,
     enumerate_all_tilings,
-    enumerate_maximal_cliques,
     enumerate_size_d_cliques,
     find_clique,
     fnomial,
@@ -280,6 +281,18 @@ class TestCliqueSearch:
     RANDOM_GRAPHS = [(6, 0.5), (10, 0.5), (14, 0.3), (14, 0.6), (18, 0.25),
                      (18, 0.5), (18, 0.75), (12, 0.9)]
 
+    @staticmethod
+    def random_graph(v, density):
+        """A seeded graph on v vertices, each edge present with the given
+        probability; no block graph, so it has no d."""
+        rng = random.Random(f"{v}/{density}")
+        adjacency = [0] * v
+        for a, b in itertools.combinations(range(v), 2):
+            if rng.random() < density:
+                adjacency[a] |= 1 << b
+                adjacency[b] |= 1 << a
+        return BlockGraph(None, (None,) * v, tuple(adjacency), 0)
+
     @pytest.mark.parametrize("v, density", RANDOM_GRAPHS)
     def test_random_graphs_match_combinations(self, monkeypatch, v, density):
         # graphs that are no block graph, where other candidate sets repeat:
@@ -287,13 +300,8 @@ class TestCliqueSearch:
         # the lexicographic brute force, the count its length and the first
         # clique its first; every budget stops at the first node over it
         # with the start of the list, and a memo with no room changes no list
-        rng = random.Random(f"{v}/{density}")
-        adjacency = [0] * v
-        for a, b in itertools.combinations(range(v), 2):
-            if rng.random() < density:
-                adjacency[a] |= 1 << b
-                adjacency[b] |= 1 << a
-        graph = BlockGraph(None, (None,) * v, tuple(adjacency), 0)
+        graph = self.random_graph(v, density)
+        adjacency = graph.adjacency
         listings = []
         for want in range(v + 1):
             reference = tuple(
@@ -414,9 +422,9 @@ class TestCliqueSearch:
             "first clique": lambda: find_clique(graph),
             "count": lambda: count_size_d_cliques(graph),
             "count to a budget": lambda: count_size_d_cliques(graph, node_budget=5000),
-            "maximal cliques": lambda: enumerate_maximal_cliques(graph),
+            "maximal cliques": lambda: count_maximal_cliques(graph),
             "maximal cliques to a budget":
-                lambda: enumerate_maximal_cliques(graph, node_budget=10),
+                lambda: count_maximal_cliques(graph, node_budget=10),
         }
         for name, search in searches.items():
             assert cyclic_garbage(search) == 0, name
@@ -430,21 +438,52 @@ class TestCliqueSearch:
         with pytest.raises(ValueError):
             count_size_d_cliques(graph, -1)
 
+    def test_maximal_clique_count_small(self):
+        graph = build_block_graph(build_layer(Natural(), 4, 4))
+        res = count_maximal_cliques(graph)
+        assert (res.total, res.complete) == (1, True)
+
     @pytest.mark.parametrize("budget", [1, 10])
-    def test_maximal_clique_budget_stop_keeps_a_prefix(self, budget):
+    def test_maximal_clique_count_budget_stop(self, budget):
         graph = build_block_graph(build_layer(Natural(), 3, 4))
-        whole = enumerate_maximal_cliques(graph)
-        cut = enumerate_maximal_cliques(graph, node_budget=budget)
+        whole = count_maximal_cliques(graph)
+        cut = count_maximal_cliques(graph, node_budget=budget)
         assert whole.complete
         assert not cut.complete
         assert cut.nodes == budget + 1
-        assert cut.cliques == whole.cliques[:len(cut.cliques)]
+        assert cut.total <= whole.total
 
-    def test_maximal_clique_enumeration_small(self):
-        graph = build_block_graph(build_layer(Natural(), 4, 4))
-        res = enumerate_maximal_cliques(graph)
-        assert res.complete
-        assert res.cliques == ((0, 1, 2, 3),)
+    @pytest.mark.parametrize("F, k, n, total, nodes", [
+        (Natural(), 3, 4, 852, 1657),
+        (Natural(), 2, 4, 536, 802),
+        (Natural(), 2, 5, 167_976, 194_500),
+        (Powers(2), 2, 3, 22_260, 36_305),
+    ])
+    def test_maximal_clique_count_pinned(self, F, k, n, total, nodes):
+        # pinned from a listing of the cliques by the same search: its
+        # length and the calls it made
+        res = count_maximal_cliques(build_block_graph(build_layer(F, k, n)))
+        assert (res.total, res.complete, res.nodes) == (total, True, nodes)
+
+    @pytest.mark.parametrize("v, density", [g for g in RANDOM_GRAPHS if g[0] <= 14])
+    def test_maximal_clique_count_matches_brute_force(self, v, density):
+        # every vertex subset that is a clique no outside vertex extends;
+        # every budget stops at the first node over it with no more
+        graph = self.random_graph(v, density)
+        adjacency = graph.adjacency
+        brute = 0
+        for subset in range(1 << v):
+            inside = [u for u in range(v) if subset >> u & 1]
+            outside = [u for u in range(v) if not subset >> u & 1]
+            if all(subset & ~adjacency[u] == 1 << u for u in inside) and not any(
+                    subset & ~adjacency[u] == 0 for u in outside):
+                brute += 1
+        res = count_maximal_cliques(graph)
+        assert (res.total, res.complete) == (brute, True)
+        for budget in range(1, res.nodes):
+            cut = count_maximal_cliques(graph, node_budget=budget)
+            assert not cut.complete and cut.nodes == budget + 1, budget
+            assert cut.total <= brute, budget
 
 
 class TestCliqueTilingCorrespondence:
@@ -478,6 +517,15 @@ class TestCliqueTilingCorrespondence:
                 break
         with pytest.raises(ValueError):
             clique_to_tiling(graph, adjacency_missing)
+
+    def test_invalid_tiling_rejected(self):
+        from cobweb import construct_tiling
+
+        graph = build_block_graph(build_layer(Natural(), 2, 3))
+        tiling = construct_tiling(Natural(), 2, 3)
+        short = Tiling(tiling.layer, tiling.blocks[1:], tiling.kind, "tampered")
+        with pytest.raises(ValueError, match="^not a valid tiling: "):
+            tiling_to_clique(graph, short)
 
     def test_foreign_tiling_rejected(self):
         from cobweb import construct_tiling

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import functools
 import io
 import json
 import math
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobweb import Fp, Natural, construct_multi_tiling, construct_tiling, fnomial
+from cobweb import blockgraph as blockgraph_module
 from cobweb.cli import _fs_path, main
 
 
@@ -67,6 +69,21 @@ class TestCoeff:
     def test_multicoeff(self, capsys):
         rc, out, _ = run(capsys, "multicoeff", "natural", "4", "2,2")
         assert rc == 0 and out.strip() == "6"
+
+    def test_multicoeff_check_recurrence(self, capsys):
+        rc, out, err = run(capsys, "multicoeff", "natural", "6", "2,2,2", "--check-recurrence")
+        assert (rc, out, err) == (0, "90\nrecurrence holds=True\n", "")
+        rc, out, _ = run(capsys, "multicoeff", "natural", "6", "2,2,2", "--check-recurrence",
+                         "--json")
+        assert rc == 0 and '"recurrence_holds":true' in out
+
+    @pytest.mark.parametrize("parts, message", [
+        ("2,x", "bad composition '2,x'"),
+        ("2,2", "composition (2, 2) does not sum to 5"),
+    ])
+    def test_multicoeff_bad_composition(self, capsys, parts, message):
+        rc, out, err = run(capsys, "multicoeff", "natural", "5", parts)
+        assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
 class TestAdmissible:
@@ -408,6 +425,18 @@ class TestGraph:
         data = json.loads(out)
         assert rc == 0 and data["maximal_cliques"] == 1
 
+    def test_truncated_max_clique_count_exits_1(self, capsys, monkeypatch):
+        # a count stopped by its budget is a lower bound, as in count-tilings
+        argv = ("graph", "natural", "3", "4", "--count-max-cliques", "--json")
+        rc, out, _ = run(capsys, *argv)
+        data = json.loads(out)
+        assert (rc, data["maximal_cliques"], data["complete"]) == (0, 852, True)
+        monkeypatch.setattr(blockgraph_module, "count_maximal_cliques", functools.partial(
+            blockgraph_module.count_maximal_cliques, node_budget=10))
+        rc, out, err = run(capsys, *argv)
+        data = json.loads(out)
+        assert (rc, data["complete"], err) == (1, False, "")
+        assert data["maximal_cliques"] < 852
 
     @pytest.mark.parametrize("flag", ["--find-clique", "--count-max-cliques"])
     def test_search_deeper_than_recursion_limit(self, capsys, flag):
@@ -465,6 +494,13 @@ class TestErrorsAndConfig:
         assert rc == 0
         assert out.strip() == "1 2 3 4"
 
+    def test_bad_config_line_is_one_line_error(self, capsys, tmp_path):
+        # comments and blank lines are skipped; a line with no `=` is not
+        cfg = tmp_path / "cobweb.cfg"
+        cfg.write_text("# defaults\n\noops\n")
+        rc, out, err = run(capsys, "seq", "natural", "--config", str(cfg))
+        assert (rc, out, err) == (1, "", "error: bad config line 'oops'\n")
+
     def test_flags_win_over_config(self, capsys, tmp_path):
         cfg = tmp_path / "cobweb.cfg"
         cfg.write_text("count = 4\n")
@@ -475,6 +511,14 @@ class TestErrorsAndConfig:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("strategy", ["all", "lowest"])
+    def test_strategy_all_and_lowest_are_the_default(self, capsys, strategy):
+        # `all` reduces to `lowest`, the default strategy
+        argv = ("tile", "natural", "3", "4", "--json")
+        default = run(capsys, *argv)
+        assert default[0] == 0
+        assert run(capsys, *argv, "--strategy", strategy) == default
+
     @pytest.mark.parametrize("argv", [
         ("seq", "fp:p=3", "--count", "8", "--json"),
         ("coeff", "modgauss:q=2", "6", "3", "--json"),

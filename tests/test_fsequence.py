@@ -269,6 +269,16 @@ class TestCustomTLambda:
             )
         assert "(k=1, m=1)" in str(err.value)
 
+    def test_rule_wrong_past_validation_caught_on_split(self):
+        # the rule is checked eagerly up to k + m = 5 only; past that,
+        # lambda_split re-checks it against the terms
+        F = CustomTLambda(lambda n: n, lambda k, m: 1 if k + m <= 5 else 2,
+                          lambda k, m: 1, validated_to=5, label="late")
+        assert tuple(lambda_split(F, 2, 3)) == (1, 1)
+        with pytest.raises(LambdaRuleError, match=re.escape(
+                "custom:late: split (3,3) -> (2, 1) contradicts terms")):
+            lambda_split(F, 3, 3)
+
 
 class TestFamilySpec:
     @pytest.mark.parametrize("spec", [

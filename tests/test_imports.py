@@ -41,7 +41,7 @@ EXPORTS = {
     ],
     "blockgraph": [
         "BlockGraph", "block_count_formula", "build_block_graph", "clique_to_tiling",
-        "count_size_d_cliques", "enumerate_maximal_cliques", "enumerate_size_d_cliques",
+        "count_maximal_cliques", "count_size_d_cliques", "enumerate_size_d_cliques",
         "find_clique", "tiling_to_clique", "to_dot",
     ],
 }

@@ -334,6 +334,13 @@ class TestVerify:
         assert not report.valid
         assert any("cover" in v for v in report.violations)
 
+    def test_multi_tiling_off_level_one_invalid(self):
+        # a multi shape is a tiling of a layer <1 -> n> only
+        tiling = construct_tiling(Natural(), 2, 3)
+        report = verify_tiling(Tiling(tiling.layer, tiling.blocks, MultiShape((1, 1)), "multi"))
+        assert not report.valid
+        assert "multi tiling on a layer not starting at level 1" in report.violations
+
     def test_wrong_shape_invalid(self):
         from cobweb.geometry import Block
 
