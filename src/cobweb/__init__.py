@@ -57,7 +57,6 @@ _EXPORTS = {
         "build_layer",
         "iter_max_paths",
         "make_block",
-        "point_to_path",
     ),
     "tiling": (
         "ChoiceStrategy",

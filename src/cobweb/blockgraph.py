@@ -26,8 +26,7 @@ from .geometry import (
     overlap_masks,
 )
 from .record import Record
-from . import tiling as tiling_module
-from .tiling import Tiling, verify_tiling
+from .tiling import Tiling, memo_room, verify_tiling
 
 
 class BlockCountReport(Record):
@@ -108,17 +107,9 @@ class CliqueCountResult(Record):
         self._init(total, complete, nodes, states)
 
 
-# Bytes a memoised listing entry is counted per edge, on top of the 128
-# plus V/8 of any entry: its two tuple slots and a share of the tuple and
-# of the vertex ints, which every entry shares.  36 to 50 bytes measured
-# with tracemalloc on CPython 3.11 (natural <4->5>, <2->5> and <3->5>).
-EDGE_BYTES = 48
-
-# The memo entry of a listing subtree that holds no clique, shared by all.
+# The memo entry of a listing subtree that holds no clique, shared by all;
+# a node left out of a full memo gives its parent this too, so no edge.
 _DEAD = ()
-
-# What a listing subtree gives its parent when its entry was not stored.
-_LOST = object()
 
 
 def _replay(node: tuple, base: tuple, out: list, nodes: int, node_budget: int) -> int:
@@ -186,11 +177,10 @@ def _size_d_cliques(
     listing replays the entry under the prefix and appends its edges to
     the node's own, which then stores what the whole loop would have.
 
-    The memo stops growing at about `tiling.MEMO_BYTES`: an entry is
-    counted as 128 bytes plus V/8, and a listing entry EDGE_BYTES more per
-    edge.  An entry that does not fit is not stored, and in a listing no
-    subtree holding a clique is stored after that, since its node could
-    refer to the one left out.  Lookups go on, so answers stay exact.
+    The memo stops growing at `tiling.memo_room(V)` entries.  A node that
+    closes once it is full is not stored and gives its parent no edge; a
+    full memo stays full, so no entry refers to a node left out.  Lookups
+    go on, so answers stay exact.
     """
     want = graph.d if d is None else d
     if want < 0:
@@ -202,10 +192,8 @@ def _size_d_cliques(
     vertex = tuple(range(graph.vertex_count()))  # one int per vertex for every entry
     out: list[tuple[int, ...]] = []
     memo: list[dict] = [{} for _ in range(want + 1)]
-    entry_bytes = 128 + graph.vertex_count() // 8
-    cap = tiling_module.MEMO_BYTES
-    total = nodes = states = spent = 0
-    full = False
+    room = memo_room(graph.vertex_count())
+    total = nodes = states = 0
 
     # the open node: candidates, memo of its need, total at opening, edges,
     # candidates left, how many, its children's need and their memo
@@ -265,15 +253,12 @@ def _size_d_cliques(
                     edges += vertex[v], child
         else:
             # the sibling loop is over: memoise the node and close it
-            child = tuple(edges) if edges else _DEAD if collect else total - before
-            cost = entry_bytes + EDGE_BYTES * (len(edges) >> 1)
-            if spent + cost <= cap and not (full and edges):
+            if states < room:
+                child = tuple(edges) if edges else _DEAD if collect else total - before
                 table[cand] = child
-                spent += cost
                 states += 1
-            elif edges:
-                full = True
-                child = _LOST
+            else:
+                child = _DEAD
             if stack:
                 cand, table, below, before, edges, rest, left, need = stack.pop()
                 v = prefix.pop()
@@ -359,8 +344,12 @@ def count_maximal_cliques(
 
 
 def clique_to_tiling(graph: BlockGraph, clique) -> Tiling:
-    """Read a clique as a tiling; rejects vertex sets that are no clique."""
+    """Read a clique as a tiling; rejects vertex indices outside the graph
+    and vertex sets that are no clique."""
     clique = tuple(sorted(set(clique)))
+    for v in clique:
+        if not 0 <= v < graph.vertex_count():
+            raise ValueError(f"vertex {v} outside 0..{graph.vertex_count() - 1}")
     for i, a in enumerate(clique):
         for b in clique[i + 1:]:
             if not (graph.adjacency[a] >> b) & 1:

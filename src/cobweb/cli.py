@@ -292,6 +292,9 @@ def cmd_verify(args) -> int:
 def cmd_render(args) -> int:
     from .render import RenderStyle, picture_sizes, render_tiling_svg
 
+    for flag, value in (("dx", args.dx), ("dy", args.dy), ("radius", args.radius)):
+        if value < 1:
+            raise CobwebError(f"--{flag} needs a value >= 1, got {value}")
     obj, tiling = _read_tiling(args.file)
     sizes = picture_sizes(obj, tiling.layer, args.cap_vertices)
     svg = render_tiling_svg(obj, sizes, RenderStyle(dx=args.dx, dy=args.dy, radius=args.radius))

@@ -42,11 +42,6 @@ class Layer(Record):
     def m(self) -> int:
         return self.n - self.k + 1
 
-    def level_size(self, s: int) -> int:
-        if not self.k <= s <= self.n:
-            raise ValueError(f"level {s} outside span {self.k}..{self.n}")
-        return term(self.F, s)
-
     def level_sizes(self) -> tuple[int, ...]:
         return tuple(term(self.F, s) for s in range(self.k, self.n + 1))
 
@@ -66,19 +61,6 @@ def iter_max_paths(layer: Layer, *, cap: int = DEFAULT_VOLUME_CAP) -> Iterator[t
         raise CapExceeded(f"volume {layer.volume()} exceeds streaming cap {cap}")
     ranges = [range(1, size + 1) for size in layer.level_sizes()]
     return itertools.product(*ranges)
-
-
-def point_to_path(layer: Layer, point) -> tuple[int, ...]:
-    """Box point (v_1..v_m) -> maximal path (v_k..v_n); identity on
-    coordinates, so it is its own inverse."""
-    point = tuple(point)
-    if len(point) != layer.m:
-        raise ValueError(f"point needs {layer.m} coordinates")
-    for i, v in enumerate(point):
-        size = layer.level_size(layer.k + i)
-        if not 1 <= v <= size:
-            raise ValueError(f"coordinate {i + 1} = {v} outside 1..{size}")
-    return point
 
 
 class PlainShape(Record):

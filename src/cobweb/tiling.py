@@ -478,12 +478,19 @@ def count_construction_tilings(F: FSequence, k: int, n: int) -> int:
 # Exhaustive tiling enumeration (exact cover oracle)
 # ---------------------------------------------------------------------------
 
-# About the most bytes the memo of `enumerate_all_tilings` takes.  An entry
-# is counted as its key's volume bits plus 128 bytes of dict slot, key and
-# count objects (110 to 150 measured on CPython 3.11).  A full memo takes
-# no entry and is no longer read, and no node computes a key for it; a
-# miss only costs nodes, so counts stay exact.
+# About the most bytes a search memo takes (see `memo_room`).
 MEMO_BYTES = 1 << 26
+
+
+def memo_room(width: int) -> int:
+    """How many entries a search memo keyed on sets of `width` bits
+    takes: about MEMO_BYTES, an entry counted as its key's bits plus 128
+    bytes of dict slot, key and value objects (110 to 150 measured on
+    CPython 3.11).  Both the exact cover and the size-d clique search
+    store a finished subtree only while their memo holds fewer; a full
+    memo takes no entry, and a miss only costs nodes, so answers stay
+    exact."""
+    return MEMO_BYTES // (128 + width // 8)
 
 
 def _blocks_on_paths(layer: Layer, blocks) -> tuple[list[int], list[list[int]]]:
@@ -614,9 +621,9 @@ def enumerate_all_tilings(
     exact, and no canonical form is needed.  The key is built from the
     level sizes and the bitmap only.  The first `limit` tilings reached
     are collected; the memo is read only once they are, since a hit
-    skips a subtree's tilings.  Once the memo holds about MEMO_BYTES it
-    is full: no key is computed and none is read, so the count stays
-    exact and a miss costs only nodes.
+    skips a subtree's tilings.  Once the memo holds `memo_room(volume)`
+    entries it is full: no key is computed and none is read, so the count
+    stays exact and a miss costs only nodes.
 
     Every node visited is counted, leaves and memo hits included, and the
     search stops (complete=False) at the first node over `node_budget`.
@@ -640,7 +647,7 @@ def enumerate_all_tilings(
     # each block by its path mask, to read a collected tiling off the stack
     block_at = {mask: i for i, mask in enumerate(masks)} if limit else {}
     memo: dict[int, int] = {}
-    room = MEMO_BYTES // (128 + volume // 8)
+    room = memo_room(volume)
     total = 0
     nodes = 0
 

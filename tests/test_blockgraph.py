@@ -365,36 +365,36 @@ class TestCliqueSearch:
                 found = len(cut.cliques)
             assert enumerate_size_d_cliques(graph, node_budget=whole.nodes) == whole
 
-    @pytest.mark.parametrize("F, k, n, caps", [
-        (Natural(), 3, 4, 300), (Fp(1), 3, 4, 300), (Natural(), 2, 5, 15),
+    @pytest.mark.parametrize("F, k, n, step", [
+        (Natural(), 3, 4, 1), (Fp(1), 3, 4, 1), (Natural(), 2, 5, 75), (Powers(2), 2, 3, 80),
     ])
-    def test_memo_too_small_for_listing_entries_keeps_lists(self, monkeypatch,
-                                                            F, k, n, caps):
-        # a listing entry is charged for its edges too, so a memo that holds
-        # every count entry holds fewer listing entries; an entry that does
-        # not fit is not stored, nor is any entry holding a clique after it,
-        # and at every size the answers stay the same
+    def test_listing_and_count_store_the_same_entries_at_every_room(self, monkeypatch,
+                                                                   F, k, n, step):
+        # both searches store a closing node while their memo holds fewer
+        # than `memo_room(V)` entries, so at any room a listing stores what
+        # a count does, the first nodes to close, and lists the same
+        # cliques; where step is 1 every room is tried
         graph = build_block_graph(build_layer(F, k, n))
         whole = enumerate_size_d_cliques(graph)
-        counted = count_size_d_cliques(graph)
+        states = count_size_d_cliques(graph).states
+        assert whole.complete and whole.states == states
         entry_bytes = 128 + graph.vertex_count() // 8
-        exact = counted.states * entry_bytes
-        monkeypatch.setattr(tiling_module, "MEMO_BYTES", exact)
-        assert count_size_d_cliques(graph).states == counted.states
-        assert enumerate_size_d_cliques(graph).states < counted.states
-        no_live_entry = entry_bytes + blockgraph_module.EDGE_BYTES - 1
-        for memo_bytes in [no_live_entry, *range(0, exact, exact // caps)]:
-            monkeypatch.setattr(tiling_module, "MEMO_BYTES", memo_bytes)
+        for room in [*range(0, states, step), states - 1, states, states + 1]:
+            monkeypatch.setattr(tiling_module, "MEMO_BYTES", room * entry_bytes)
+            assert tiling_module.memo_room(graph.vertex_count()) == room
             listed = enumerate_size_d_cliques(graph)
-            assert listed.complete and listed.cliques == whole.cliques, memo_bytes
-            assert listed.states <= memo_bytes // entry_bytes, memo_bytes
+            counted = count_size_d_cliques(graph)
+            assert listed.complete and listed.cliques == whole.cliques, room
+            assert counted.complete and counted.total == len(whole.cliques), room
+            assert listed.states == counted.states == min(room, states), room
 
     def test_entry_left_out_of_the_memo_is_never_replayed(self, monkeypatch):
         # 0 and 1 are each joined to 2 and to the independent set 3..10,
         # which 2 is joined to as well: the subtree on {2, 3..10} is met
-        # twice, and its child on 3..10 (eight cliques) does not fit in the
-        # memo; the subtree itself would, but stored without its child it
-        # could not be replayed, so no entry holding a clique is stored
+        # twice.  A memo of room 3 takes the first three nodes to close:
+        # the one on 3..10 below 2 (eight cliques), the one on {2, 3..10}
+        # holding it, replayed under 1, and the one on 3..10 below the
+        # root's 2, with no clique.  The root closes last and is left out.
         adjacency = [0] * 11
         for a, b in [(top, v) for top in (0, 1) for v in range(2, 11)] + [
                 (2, v) for v in range(3, 11)]:
@@ -403,14 +403,11 @@ class TestCliqueSearch:
         graph = BlockGraph(None, (None,) * 11, tuple(adjacency), 3)
         reference = self.reference_cliques(graph, 3)
         assert len(reference) == 16
-        entry_bytes = 128 + 11 // 8
-        memo_bytes = 3 * entry_bytes + blockgraph_module.EDGE_BYTES
-        assert memo_bytes < entry_bytes + 8 * blockgraph_module.EDGE_BYTES
-        monkeypatch.setattr(tiling_module, "MEMO_BYTES", memo_bytes)
+        assert count_size_d_cliques(graph).states == 4
+        monkeypatch.setattr(tiling_module, "MEMO_BYTES", 3 * (128 + 11 // 8))
         listed = enumerate_size_d_cliques(graph)
         assert listed.complete and listed.cliques == reference
-        assert listed.states == 1  # the subtree on 3..10 below 2, with no clique
-        assert count_size_d_cliques(graph).states == 3
+        assert listed.states == count_size_d_cliques(graph).states == 3
 
     def test_searches_leave_no_cyclic_garbage(self):
         # each search holds its memo in plain locals, so it is freed when
@@ -517,6 +514,19 @@ class TestCliqueTilingCorrespondence:
                 break
         with pytest.raises(ValueError):
             clique_to_tiling(graph, adjacency_missing)
+
+    @pytest.mark.parametrize("clique, message", [
+        ([-1], "vertex -1 outside 0..8"),
+        ([9], "vertex 9 outside 0..8"),
+        ([0, 14], "vertex 14 outside 0..8"),
+    ])
+    def test_vertex_outside_the_graph_rejected(self, clique, message):
+        # not read from the end of the block tuple, no IndexError, and no
+        # adjacency looked up past the last vertex
+        graph = build_block_graph(build_layer(Natural(), 2, 3))
+        assert graph.vertex_count() == 9
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            clique_to_tiling(graph, clique)
 
     def test_invalid_tiling_rejected(self):
         from cobweb import construct_tiling

@@ -463,10 +463,19 @@ class TestErrorsAndConfig:
         (("admissible", "natural", "--max", "-5"), "--max needs a bound >= 1, got -5"),
         (("seq", "natural", "--count", "-3"), "--count needs a count >= 0, got -3"),
         (("tile", "natural", "2", "3", "--strategy", "seed:x"), "unknown strategy 'seed:x'"),
+        (("render", "t.json", "--out", "t.svg", "--dx", "0"), "--dx needs a value >= 1, got 0"),
+        (("render", "t.json", "--out", "t.svg", "--dy", "-60"), "--dy needs a value >= 1, got -60"),
+        (("render", "t.json", "--out", "t.svg", "--radius", "-3"),
+         "--radius needs a value >= 1, got -3"),
     ])
-    def test_out_of_range_flag_is_one_line_error(self, capsys, argv, message):
+    def test_out_of_range_flag_is_one_line_error(self, capsys, tmp_path, monkeypatch,
+                                                 argv, message):
+        # a render flag is refused before the file is read, so the missing
+        # t.json is never opened, and no picture is written
+        monkeypatch.chdir(tmp_path)
         rc, out, err = run(capsys, *argv)
         assert (rc, out, err) == (1, "", f"error: {message}\n")
+        assert not (tmp_path / "t.svg").exists()
 
     @pytest.mark.parametrize("spelling", [
         "", ".", "/", "//", "///a", "./t.json", "a//b/./c/", "a/../b", "~/x", ".hidden/",

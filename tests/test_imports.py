@@ -31,7 +31,7 @@ EXPORTS = {
     ],
     "geometry": [
         "Block", "Layer", "MultiShape", "PlainShape", "block_family", "blocks_disjoint",
-        "build_layer", "iter_max_paths", "make_block", "point_to_path",
+        "build_layer", "iter_max_paths", "make_block",
     ],
     "tiling": [
         "ChoiceStrategy", "Exhaustive", "LowestLabels", "Seeded", "Tiling",

@@ -359,7 +359,7 @@ class TestVerify:
             k, n = tiling.layer.k, tiling.layer.n
             first = tiling.blocks[0]
             level = first.levels[-1]
-            outsider = min(set(range(1, tiling.layer.level_size(n) + 1)) - set(level))
+            outsider = min(set(range(1, tiling.layer.level_sizes()[-1] + 1)) - set(level))
             tampered = {
                 "duplicate": Tiling(tiling.layer, tiling.blocks + (first,),
                                     tiling.kind, "tampered"),
