@@ -365,20 +365,22 @@ class TestCliqueSearch:
                 found = len(cut.cliques)
             assert enumerate_size_d_cliques(graph, node_budget=whole.nodes) == whole
 
-    @pytest.mark.parametrize("F, k, n, step", [
-        (Natural(), 3, 4, 1), (Fp(1), 3, 4, 1), (Natural(), 2, 5, 75), (Powers(2), 2, 3, 80),
+    @pytest.mark.parametrize("F, k, n, rooms", [
+        (Natural(), 3, 4, 300), (Fp(1), 3, 4, 300), (Natural(), 2, 5, 15), (Powers(2), 2, 3, 15),
     ])
-    def test_listing_and_count_store_the_same_entries_at_every_room(self, monkeypatch,
-                                                                   F, k, n, step):
+    def test_memo_too_small_for_listing_entries_keeps_lists(self, monkeypatch,
+                                                            F, k, n, rooms):
         # both searches store a closing node while their memo holds fewer
         # than `memo_room(V)` entries, so at any room a listing stores what
         # a count does, the first nodes to close, and lists the same
-        # cliques; where step is 1 every room is tried
+        # cliques; about `rooms` rooms below the full state count are
+        # tried, every one where there are fewer states than that
         graph = build_block_graph(build_layer(F, k, n))
         whole = enumerate_size_d_cliques(graph)
         states = count_size_d_cliques(graph).states
         assert whole.complete and whole.states == states
         entry_bytes = 128 + graph.vertex_count() // 8
+        step = max(1, states // rooms)
         for room in [*range(0, states, step), states - 1, states, states + 1]:
             monkeypatch.setattr(tiling_module, "MEMO_BYTES", room * entry_bytes)
             assert tiling_module.memo_room(graph.vertex_count()) == room
