@@ -259,41 +259,39 @@ def overlap_masks(blocks) -> list[int]:
     """For each block i, the bitmask of the other blocks sharing a maximal
     path with it.
 
-    A level-incidence index maps, per level position, each vertex to the
-    bitmask of blocks holding it there.  The blocks meeting block i on a
-    level are the OR of its vertices' masks, so the blocks sharing a path
-    with it are the AND of those over its levels.  Levels are matched by
-    position from the bottom and only positions both blocks have are
-    compared; on equal spans bit j of mask i is `not blocks_disjoint`.
+    Per level position, each distinct subset is indexed once: the blocks
+    holding it, ORed into its vertices' masks, then its meeting mask, the
+    OR of those and of the blocks with no level there.  Block i's mask is
+    the AND of its subsets' meeting masks, matched by position from the
+    bottom over the positions both blocks have; on equal spans bit j of
+    mask i is `not blocks_disjoint`.
     """
     depth = max((len(block.levels) for block in blocks), default=0)
-    holders: list[dict[int, int]] = [{} for _ in range(depth)]
-    absent = [0] * depth  # blocks with fewer levels than the position
+    # per position, each distinct subset's blocks, then its meeting mask
+    meets: list[dict[tuple[int, ...], int]] = [{} for _ in range(depth)]
     for i, block in enumerate(blocks):
         bit = 1 << i
-        for pos, level in enumerate(block.levels):
-            index = holders[pos]
-            for v in level:
-                index[v] = index.get(v, 0) | bit
-        for pos in range(len(block.levels), depth):
-            absent[pos] |= bit
+        for level, held in zip(block.levels, meets):
+            held[level] = held.get(level, 0) | bit
     everyone = (1 << len(blocks)) - 1
-    hits: list[dict[tuple[int, ...], int]] = [{} for _ in range(depth)]
+    for held in meets:
+        absent = everyone  # the blocks with no level at this position
+        holders: dict[int, int] = {}
+        for level, mask in held.items():
+            absent ^= mask
+            for v in level:
+                holders[v] = holders.get(v, 0) | mask
+        for level in held:
+            meet = absent
+            for v in level:
+                meet |= holders[v]
+            held[level] = meet
     masks = []
     for i, block in enumerate(blocks):
-        meet = everyone ^ (1 << i)
-        for pos, level in enumerate(block.levels):
-            if not meet:
-                break
-            hit = hits[pos].get(level)
-            if hit is None:  # blocks often share a level subset
-                hit = absent[pos]
-                index = holders[pos]
-                for v in level:
-                    hit |= index[v]
-                hits[pos][level] = hit
-            meet &= hit
-        masks.append(meet)
+        mask = everyone ^ 1 << i
+        for level, meeting in zip(block.levels, meets):
+            mask &= meeting[level]
+        masks.append(mask)
     return masks
 
 
@@ -358,11 +356,12 @@ def path_masks(layer: Layer, blocks) -> list[int]:
 
 
 def bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of a mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Positions of the set bits of a mask, lowest first, in one pass over its digits."""
+    digits = bin(mask)[:1:-1]
+    at = digits.find("1")
+    while at >= 0:
+        yield at
+        at = digits.find("1", at + 1)
 
 
 def _unwind(root: Iterator) -> Iterator:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -21,7 +22,8 @@ from cobweb import (
     term,
 )
 from cobweb import geometry
-from cobweb.geometry import Block, _unwind, family_size, path_masks, shape_values
+from cobweb.geometry import (
+    Block, _unwind, bits, family_size, overlap_masks, path_masks, shape_values)
 from cobweb.tiling import Seeded, Tiling, construct_multi_tiling, construct_tiling, verify_tiling
 from conftest import TABLE_B, TABLE_C, TABLE_E, cyclic_garbage, lambda_families
 
@@ -183,8 +185,6 @@ class TestDisjointness:
     ])
     def test_overlap_masks_equal_pairwise(self, F, k, n):
         # bit j of mask i is set exactly when blocks i != j share a path
-        from cobweb.geometry import overlap_masks
-
         layer = build_layer(F, k, n)
         blocks = block_family(layer, PlainShape(layer.m)).blocks
         masks = overlap_masks(blocks)
@@ -195,6 +195,32 @@ class TestDisjointness:
                 if j != i and not blocks_disjoint(a, b)
             )
             assert masks[i] == expect, i
+
+    def test_overlap_masks_of_ragged_blocks(self):
+        # blocks of 0 to 4 levels, with empty levels and vertices off every
+        # level (zero and negative), and the empty list
+        rng = random.Random(31)
+        lists = [[], [Block((1, 1), (), ())]]
+        for _ in range(300):
+            depths = [rng.randrange(5) for _ in range(rng.randrange(1, 12))]
+            lists.append([Block((1, depth), tuple(
+                tuple(sorted(rng.sample(range(-1, 6), rng.randrange(4))))
+                for _ in range(depth)), ()) for depth in depths])
+        for blocks in lists:
+            assert overlap_masks(blocks) == reference_overlap_masks(blocks)
+
+    def test_overlap_masks_of_a_deep_construction(self):
+        # 60 blocks of up to 60 vertices a level; the repeated blocks overlap
+        blocks = construct_tiling(Natural(), 2, 60).blocks
+        for some in (blocks, blocks + blocks[::7]):
+            assert overlap_masks(some) == reference_overlap_masks(some)
+
+    @pytest.mark.parametrize("kind", ["zero", "one", "dense-3000", "sparse-120000"])
+    def test_bits_lists_the_set_positions(self, kind):
+        rng = random.Random(19)
+        mask = {"zero": 0, "one": 1, "dense-3000": rng.getrandbits(3000),
+                "sparse-120000": sum(1 << rng.randrange(120_000) for _ in range(60))}[kind]
+        assert list(bits(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1]
 
     @pytest.mark.parametrize("F, k, n", [
         (Natural(), 2, 4),
@@ -236,6 +262,14 @@ class TestDisjointness:
         report = verify_tiling(Tiling(tiling.layer, (bad,) + tiling.blocks[1:], tiling.kind,
                                       "tampered"))
         assert "explicit path sets overlap" in report.violations
+
+
+def reference_overlap_masks(blocks):
+    # blocks i != j overlap when they share a vertex at every position both
+    # have, compared from the bottom
+    return [sum(1 << j for j, b in enumerate(blocks)
+                if j != i and all(set(x) & set(y) for x, y in zip(a.levels, b.levels)))
+            for i, a in enumerate(blocks)]
 
 
 def assert_path_masks_explicit(layer, blocks):

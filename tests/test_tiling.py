@@ -922,6 +922,29 @@ class TestTilingJson:
                 assert values(found) == values(parts), parts
                 assert list(found) == sorted(found, reverse=True)
 
+    @pytest.mark.parametrize("F", [Fp(1), TABLE_B], ids=lambda F: F.spec_string())
+    def test_shape_inference_refuses_unrealised_multisets(self, F):
+        # every multiset of 1 to 6 values (term values and 4, which no term
+        # up to n takes here) is inferred exactly when a composition with
+        # parts of at most n realises it, and refused otherwise; on fp:p=1,
+        # [1, 1, 1, 3] at n = 4 reads a failed state back from the memo
+        from cobweb.tiling import _parts_from_cardinalities
+
+        def values(parts):
+            return tuple(sorted(term(F, v) for v in MultiShape(parts).base_vector()))
+
+        for n in range(1, 6):
+            universe = sorted({term(F, i) for i in range(1, n + 1)} | {4})
+            for size in range(1, 7):
+                realised = {values(parts) for parts in compositions_of(size)
+                            if max(parts) <= n}
+                for cards in itertools.combinations_with_replacement(universe, size):
+                    found = _parts_from_cardinalities(F, n, list(cards))
+                    if cards in realised:
+                        assert found and max(found) <= n and values(found) == cards, cards
+                    else:
+                        assert found is None, cards
+
     def test_shape_inference_reads_each_term_a_few_times(self):
         # one block of n one-vertex levels on natural <1->n> is the
         # composition of n ones; the search reads term(1..n) once, not
