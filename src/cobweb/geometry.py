@@ -267,14 +267,15 @@ def overlap_masks(blocks) -> list[int]:
     mask i is `not blocks_disjoint`.
     """
     depth = max((len(block.levels) for block in blocks), default=0)
-    # per position, each distinct subset's blocks, then its meeting mask
+    # per position, each distinct subset's blocks, and its meeting mask
+    holding: list[dict[tuple[int, ...], int]] = [{} for _ in range(depth)]
     meets: list[dict[tuple[int, ...], int]] = [{} for _ in range(depth)]
     for i, block in enumerate(blocks):
         bit = 1 << i
-        for level, held in zip(block.levels, meets):
+        for level, held in zip(block.levels, holding):
             held[level] = held.get(level, 0) | bit
     everyone = (1 << len(blocks)) - 1
-    for held in meets:
+    for held, meeting in zip(holding, meets):
         absent = everyone  # the blocks with no level at this position
         holders: dict[int, int] = {}
         for level, mask in held.items():
@@ -285,7 +286,7 @@ def overlap_masks(blocks) -> list[int]:
             meet = absent
             for v in level:
                 meet |= holders[v]
-            held[level] = meet
+            meeting[level] = meet
     masks = []
     for i, block in enumerate(blocks):
         mask = everyone ^ 1 << i
@@ -356,12 +357,11 @@ def path_masks(layer: Layer, blocks) -> list[int]:
 
 
 def bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of a mask, lowest first, in one pass over its digits."""
-    digits = bin(mask)[:1:-1]
-    at = digits.find("1")
-    while at >= 0:
-        yield at
-        at = digits.find("1", at + 1)
+    """Positions of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _unwind(root: Iterator) -> Iterator:
