@@ -26,7 +26,8 @@ from .geometry import (
     overlap_masks,
 )
 from .record import Record
-from .tiling import Tiling, memo_room, verify_tiling
+from .tiling import Tiling, memo_room
+from .tiling import verify_tiling  # noqa: F401  perfbench/tracer.py wraps blockgraph.verify_tiling
 
 
 class BlockCountReport(Record):
@@ -84,27 +85,17 @@ def build_block_graph(layer: Layer, *, block_cap: int = DEFAULT_BLOCK_CAP) -> Bl
 
 
 class CliqueSearchResult(Record):
-    """Cliques found, whether the search finished, and its work: `nodes`
-    counts the candidates tried, the remainder hits and the memoised
-    edges replayed (see `_size_d_cliques`), `states` the finished
+    """Cliques listed (none for a count), their number (a lower bound when
+    complete=False) and the work: `nodes` counts a size-d search's
+    candidates tried, remainder hits and memoised edges replayed (see
+    `_size_d_cliques`), a maximal count's calls; `states` the finished
     subtrees memoised, each a node of the shared DAG of their cliques."""
 
-    __slots__ = _fields = ("cliques", "complete", "nodes", "states")
+    __slots__ = _fields = ("cliques", "total", "complete", "nodes", "states")
 
-    def __init__(self, cliques: tuple[tuple[int, ...], ...], complete: bool, nodes: int,
-                 states: int = 0):
-        self._init(cliques, complete, nodes, states)
-
-
-class CliqueCountResult(Record):
-    """Number of cliques; a lower bound when complete=False.  `nodes`
-    counts the candidates tried and the remainder hits of a size-d count,
-    the calls of a maximal one; `states` the finished subtrees memoised."""
-
-    __slots__ = _fields = ("total", "complete", "nodes", "states")
-
-    def __init__(self, total: int, complete: bool, nodes: int, states: int = 0):
-        self._init(total, complete, nodes, states)
+    def __init__(self, cliques: tuple[tuple[int, ...], ...], total: int, complete: bool,
+                 nodes: int, states: int = 0):
+        self._init(cliques, total, complete, nodes, states)
 
 
 # The memo entry of a listing subtree that holds no clique, shared by all;
@@ -141,13 +132,13 @@ def _replay(node: tuple, base: tuple, out: list, nodes: int, node_budget: int) -
 
 
 def _size_d_cliques(
-    graph: BlockGraph, d: int | None, node_budget: int, limit: int | None
-) -> tuple[list[tuple[int, ...]], CliqueCountResult]:
-    """Cliques of exactly size d in canonical order, by a depth-first
+    graph: BlockGraph, node_budget: int, limit: int | None
+) -> tuple[list[tuple[int, ...]], CliqueSearchResult]:
+    """Cliques of exactly size graph.d in canonical order, by a depth-first
     extension over candidates above the last vertex taken, one loop over
     an explicit stack of open nodes: the first of them for limit=1, all
     for limit=0, or none but their number for limit=None, together with
-    the count and the work done.
+    the count and the work done (a result that lists no clique).
 
     A node is one candidate tried as the next vertex of a prefix.  The
     sibling loop stops as soon as the candidates left could no longer
@@ -182,12 +173,12 @@ def _size_d_cliques(
     full memo stays full, so no entry refers to a node left out.  Lookups
     go on, so answers stay exact.
     """
-    want = graph.d if d is None else d
+    want = graph.d
     if want < 0:
         raise ValueError(f"clique size must be >= 0, got {want}")
     collect = limit is not None
     if not want:  # the empty clique
-        return [()] if collect else [], CliqueCountResult(1, True, 0)
+        return [()] if collect else [], CliqueSearchResult((), 1, True, 0)
     adjacency = graph.adjacency
     vertex = tuple(range(graph.vertex_count()))  # one int per vertex for every entry
     out: list[tuple[int, ...]] = []
@@ -266,20 +257,18 @@ def _size_d_cliques(
                     edges += vertex[v], child
                 continue
         break  # the root closed, or a limit or a budget stop
-    return out, CliqueCountResult(len(out) if collect else total, nodes <= node_budget,
-                                  nodes, states)
+    total = len(out) if collect else total
+    return out, CliqueSearchResult((), total, nodes <= node_budget, nodes, states)
 
 
-def find_clique(
-    graph: BlockGraph, d: int | None = None, *, node_budget: int = 2_000_000
-) -> tuple[int, ...] | None:
-    """First clique of size d in canonical order, or None if none exists.
+def find_clique(graph: BlockGraph, *, node_budget: int = 2_000_000) -> tuple[int, ...] | None:
+    """First clique of size graph.d in canonical order, or None.
 
     If the node budget is exhausted before the search is decided,
     SearchBudgetExceeded is raised so the caller never mistakes an
     interrupted search for a proof of absence.
     """
-    cliques, run = _size_d_cliques(graph, d, node_budget, 1)
+    cliques, run = _size_d_cliques(graph, node_budget, 1)
     if cliques:
         return cliques[0]
     if not run.complete:
@@ -288,24 +277,23 @@ def find_clique(
 
 
 def enumerate_size_d_cliques(
-    graph: BlockGraph, d: int | None = None, *, node_budget: int = 5_000_000
+    graph: BlockGraph, *, node_budget: int = 5_000_000
 ) -> CliqueSearchResult:
-    """All cliques of exactly size d, each reported once, sorted."""
-    cliques, run = _size_d_cliques(graph, d, node_budget, 0)
-    return CliqueSearchResult(tuple(cliques), run.complete, run.nodes, run.states)
+    """All cliques of exactly size graph.d, each reported once, sorted."""
+    cliques, run = _size_d_cliques(graph, node_budget, 0)
+    # the tuple is built once the search, and its memo, are gone
+    return CliqueSearchResult(tuple(cliques), run.total, run.complete, run.nodes, run.states)
 
 
-def count_size_d_cliques(
-    graph: BlockGraph, d: int | None = None, *, node_budget: int = 5_000_000
-) -> CliqueCountResult:
-    """Number of cliques of exactly size d, by the same search without
-    listing them, so that every finished subtree's count is reused."""
-    return _size_d_cliques(graph, d, node_budget, None)[1]
+def count_size_d_cliques(graph: BlockGraph, *, node_budget: int = 5_000_000) -> CliqueSearchResult:
+    """Number of cliques of exactly size graph.d, by the same search
+    without listing them, so that every finished subtree's count is reused."""
+    return _size_d_cliques(graph, node_budget, None)[1]
 
 
 def count_maximal_cliques(
     graph: BlockGraph, *, node_budget: int = 5_000_000
-) -> CliqueCountResult:
+) -> CliqueSearchResult:
     """Number of maximal cliques (Bron-Kerbosch, Tomita's pivot), keeping
     none: one loop over a stack of (P, X, branch vertices left) frames."""
     adjacency = graph.adjacency
@@ -340,40 +328,51 @@ def count_maximal_cliques(
         stack[-1] = (p ^ low, x | low, pending ^ low)
         near = adjacency[low.bit_length() - 1]
         p, x = p & near, x & near
-    return CliqueCountResult(total, nodes <= node_budget, nodes)
+    return CliqueSearchResult((), total, nodes <= node_budget, nodes)
+
+
+def _tiling_clique(graph: BlockGraph, vertices: list[int]) -> tuple[int, ...]:
+    """The sorted `vertices` if they are in the graph, d of them, distinct
+    and pairwise adjacent, else ValueError: d pairwise max-disjoint family
+    blocks cover d * m_F! = volume paths, so they are exactly a tiling."""
+    mask = 0
+    for v in vertices:
+        if not 0 <= v < graph.vertex_count():
+            raise ValueError(f"vertex {v} outside 0..{graph.vertex_count() - 1}")
+        mask |= 1 << v
+    if len(vertices) != graph.d or mask.bit_count() != graph.d:
+        raise ValueError(f"{len(vertices)} vertices ({mask.bit_count()} distinct), "
+                         f"a tiling takes d = {graph.d}")
+    for v in vertices:  # the first v that misses a vertex is below all it misses
+        missing = mask & ~(graph.adjacency[v] | 1 << v)
+        if missing:
+            raise ValueError(f"vertices {v} and {next(bits(missing))} are not adjacent")
+    return tuple(vertices)
 
 
 def clique_to_tiling(graph: BlockGraph, clique) -> Tiling:
-    """Read a clique as a tiling; rejects vertex indices outside the graph
-    and vertex sets that are no clique."""
-    clique = tuple(sorted(set(clique)))
-    for v in clique:
-        if not 0 <= v < graph.vertex_count():
-            raise ValueError(f"vertex {v} outside 0..{graph.vertex_count() - 1}")
-    for i, a in enumerate(clique):
-        for b in clique[i + 1:]:
-            if not (graph.adjacency[a] >> b) & 1:
-                raise ValueError(f"vertices {a} and {b} are not adjacent")
-    blocks = tuple(graph.blocks[v] for v in clique)  # the graph's blocks are sorted
+    """Read a size-d clique as a tiling, its blocks in the graph's sorted
+    order; refuses anything else."""
+    blocks = tuple(graph.blocks[v] for v in _tiling_clique(graph, sorted(clique)))
     return Tiling(graph.layer, blocks, PlainShape(graph.layer.m), "clique")
 
 
-def tiling_to_clique(graph: BlockGraph, tiling: Tiling, *, check: bool = True) -> tuple[int, ...]:
-    """Vertex indices of a valid tiling's blocks; the round trip with
-    clique_to_tiling is the identity on both sides.
-
-    check=False skips the tiling re-verification (for bulk round trips
-    over cliques that were just enumerated from the graph itself).
-    """
-    if check:
-        report = verify_tiling(tiling)
-        if not report.valid:
-            raise ValueError(f"not a valid tiling: {report.violations}")
-    index_of = {block.levels: idx for idx, block in enumerate(graph.blocks)}
+def tiling_to_clique(graph: BlockGraph, tiling: Tiling) -> tuple[int, ...]:
+    """Vertex indices of a tiling's blocks, refused unless the tiling is
+    of the graph's layer and its blocks are a size-d clique; the round
+    trip with clique_to_tiling is the identity on both sides."""
+    layer, span = graph.layer, (graph.layer.k, graph.layer.n)
+    if tiling.layer != layer:
+        raise ValueError(f"not a valid tiling: {tiling.layer} is not the graph's {layer}")
+    index_of = {block.levels: v for v, block in enumerate(graph.blocks)}
+    vertices = [index_of.get(b.levels) if b.span == span else None for b in tiling.blocks]
+    if None in vertices:
+        block = tiling.blocks[vertices.index(None)]
+        raise ValueError(f"not a valid tiling: block {block.levels} is no graph vertex")
     try:
-        return tuple(sorted(index_of[block.levels] for block in tiling.blocks))
-    except KeyError as exc:
-        raise ValueError(f"tiling block not in graph: {exc}") from exc
+        return _tiling_clique(graph, sorted(vertices))
+    except ValueError as exc:
+        raise ValueError(f"not a valid tiling: {exc}") from None
 
 
 def block_label(block: Block) -> str:

@@ -254,13 +254,16 @@ def cmd_graph(args) -> int:
     F = parse_family_spec(args.family)
     layer = build_layer(F, args.k, args.n)
     graph = bg.build_block_graph(layer, block_cap=args.cap_vertices)
+    vertices, edges = graph.vertex_count(), graph.edge_count()
     payload: dict = {
         "family": F.spec_string(), "span": [args.k, args.n],
-        "vertices": graph.vertex_count(), "edges": graph.edge_count(),
-        "d": graph.d,
+        "vertices": vertices, "edges": edges, "d": graph.d,
     }
-    lines = [f"{graph.vertex_count()} vertices, {graph.edge_count()} edges, d={graph.d}"]
+    lines = [f"{vertices} vertices, {edges} edges, d={graph.d}"]
     if args.dot:
+        if vertices + edges > args.cap_vertices:  # one DOT line per vertex and per edge
+            raise CapExceeded(f"DOT has {vertices + edges} vertex and edge lines, "
+                              f"over the cap {args.cap_vertices}")
         _write_file(args.dot, bg.to_dot(graph))
         lines.append(f"wrote {args.dot}")
     if args.find_clique:
@@ -411,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family")
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--dot", default=None, help="write DOT here")
+    p.add_argument("--dot", default=None, help="write DOT here, up to --cap-vertices lines")
     p.add_argument("--find-clique", action="store_true")
     p.add_argument("--count-max-cliques", action="store_true")
     common(p)

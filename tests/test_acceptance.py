@@ -278,7 +278,7 @@ def test_criterion_6_clique_equivalence():
                 common &= graph.adjacency[v]
             assert common == 0, f"{name}: clique {clique} is extendable"
             tiling = clique_to_tiling(graph, clique)
-            assert tiling_to_clique(graph, tiling, check=False) == clique
+            assert tiling_to_clique(graph, tiling) == clique
         if cliques.cliques:
             assert verify_tiling(clique_to_tiling(graph, cliques.cliques[0])).valid
         listed += 1

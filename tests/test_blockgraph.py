@@ -104,6 +104,11 @@ class TestBuildBlockGraph:
         assert graph.d == fnomial(Natural(), 4, 2) == 6
 
 
+def sized(graph, d):
+    """The graph with its clique size set to d, for searches of any size."""
+    return BlockGraph(graph.layer, graph.blocks, graph.adjacency, d)
+
+
 class TestCliqueSearch:
     def test_single_level_unique_maximum(self):
         graph = build_block_graph(build_layer(Natural(), 4, 4))
@@ -175,12 +180,12 @@ class TestCliqueSearch:
                 for combo in itertools.combinations(range(graph.vertex_count()), want)
                 if all(adjacency[a] >> b & 1 for a, b in itertools.combinations(combo, 2))
             )
-            result = enumerate_size_d_cliques(graph, want)
+            result = enumerate_size_d_cliques(sized(graph, want))
             assert result.complete
             assert result.cliques == reference, want
-            first = find_clique(graph, want)
+            first = find_clique(sized(graph, want))
             assert first == (reference[0] if reference else None), want
-            counted = count_size_d_cliques(graph, want)
+            counted = count_size_d_cliques(sized(graph, want))
             assert counted.complete and counted.total == len(reference), want
 
     @staticmethod
@@ -284,7 +289,7 @@ class TestCliqueSearch:
     @staticmethod
     def random_graph(v, density):
         """A seeded graph on v vertices, each edge present with the given
-        probability; no block graph, so it has no d."""
+        probability; no block graph, so its d is 0 until `sized` sets one."""
         rng = random.Random(f"{v}/{density}")
         adjacency = [0] * v
         for a, b in itertools.combinations(range(v), 2):
@@ -309,18 +314,19 @@ class TestCliqueSearch:
                 for combo in itertools.combinations(range(v), want)
                 if all(adjacency[a] >> b & 1 for a, b in itertools.combinations(combo, 2))
             )
-            listed = enumerate_size_d_cliques(graph, want)
+            graph = sized(graph, want)
+            listed = enumerate_size_d_cliques(graph)
             assert listed.complete and listed.cliques == reference, want
-            assert find_clique(graph, want) == (reference[0] if reference else None), want
-            counted = count_size_d_cliques(graph, want)
+            assert find_clique(graph) == (reference[0] if reference else None), want
+            counted = count_size_d_cliques(graph)
             assert counted.complete and counted.total == len(reference), want
             assert listed.states == counted.states, want
             for budget in range(1, listed.nodes):
-                cut = enumerate_size_d_cliques(graph, want, node_budget=budget)
+                cut = enumerate_size_d_cliques(graph, node_budget=budget)
                 assert not cut.complete and cut.nodes == budget + 1, (want, budget)
                 assert cut.cliques == reference[:len(cut.cliques)], (want, budget)
             for budget in range(1, counted.nodes):
-                cut = count_size_d_cliques(graph, want, node_budget=budget)
+                cut = count_size_d_cliques(graph, node_budget=budget)
                 assert not cut.complete and cut.nodes == budget + 1, (want, budget)
                 assert cut.total <= len(reference), (want, budget)
             listings.append(reference)
@@ -328,8 +334,9 @@ class TestCliqueSearch:
                 break
         monkeypatch.setattr(tiling_module, "MEMO_BYTES", 0)
         for want, reference in enumerate(listings):
-            assert enumerate_size_d_cliques(graph, want).cliques == reference, want
-            assert count_size_d_cliques(graph, want).total == len(reference), want
+            graph = sized(graph, want)
+            assert enumerate_size_d_cliques(graph).cliques == reference, want
+            assert count_size_d_cliques(graph).total == len(reference), want
 
     def test_every_limit_keeps_a_prefix(self):
         # the listings ask for the first clique (limit=1), where the search
@@ -338,7 +345,7 @@ class TestCliqueSearch:
         whole = enumerate_size_d_cliques(graph)
         assert whole.complete and len(whole.cliques) == 132
         for limit, want in [(1, 1), (0, 132)]:
-            cliques, run = blockgraph_module._size_d_cliques(graph, None, 10**6, limit)
+            cliques, run = blockgraph_module._size_d_cliques(graph, 10**6, limit)
             assert cliques == list(whole.cliques[:want]), limit
             assert run.complete, limit
 
@@ -429,13 +436,13 @@ class TestCliqueSearch:
             assert cyclic_garbage(search) == 0, name
 
     def test_negative_size_refused(self):
-        graph = build_block_graph(build_layer(Natural(), 2, 3))
+        graph = sized(build_block_graph(build_layer(Natural(), 2, 3)), -1)
         with pytest.raises(ValueError):
-            find_clique(graph, -1)
+            find_clique(graph)
         with pytest.raises(ValueError):
-            enumerate_size_d_cliques(graph, -1)
+            enumerate_size_d_cliques(graph)
         with pytest.raises(ValueError):
-            count_size_d_cliques(graph, -1)
+            count_size_d_cliques(graph)
 
     def test_maximal_clique_count_small(self):
         graph = build_block_graph(build_layer(Natural(), 4, 4))
@@ -505,17 +512,20 @@ class TestCliqueTilingCorrespondence:
         assert clique_to_tiling(graph, clique).key() == tiling.key()
 
     def test_non_clique_rejected(self):
+        # d vertices, one of them not adjacent to the first: both
+        # conversions name the first pair that is not adjacent
         graph = build_block_graph(build_layer(Natural(), 2, 3))
-        adjacency_missing = None
-        for i in range(graph.vertex_count()):
-            for j in range(i + 1, graph.vertex_count()):
-                if not (graph.adjacency[i] >> j) & 1:
-                    adjacency_missing = (i, j)
-                    break
-            if adjacency_missing:
-                break
-        with pytest.raises(ValueError):
-            clique_to_tiling(graph, adjacency_missing)
+        clique = find_clique(graph)
+        others = [v for v in range(graph.vertex_count())
+                  if v not in clique and not graph.adjacency[clique[0]] >> v & 1]
+        bad = sorted(clique[:-1] + (others[0],))
+        a, b = next((a, b) for a, b in itertools.combinations(bad, 2)
+                    if not graph.adjacency[a] >> b & 1)
+        with pytest.raises(ValueError, match=f"^vertices {a} and {b} are not adjacent$"):
+            clique_to_tiling(graph, bad)
+        with pytest.raises(ValueError, match=f"^not a valid tiling: vertices {a} and {b} "):
+            tiling_to_clique(graph, Tiling(graph.layer, tuple(graph.blocks[v] for v in bad),
+                                           PlainShape(graph.layer.m), "tampered"))
 
     @pytest.mark.parametrize("clique, message", [
         ([-1], "vertex -1 outside 0..8"),
@@ -546,6 +556,53 @@ class TestCliqueTilingCorrespondence:
         other = construct_tiling(Natural(), 2, 4)
         with pytest.raises(ValueError):
             tiling_to_clique(graph, other)
+
+    def test_tiling_of_another_layer_rejected(self):
+        # the one block of natural <1->2> has the levels of a vertex of the
+        # natural <2->3> graph, but is no tiling of that layer (d = 3)
+        from cobweb import construct_tiling
+
+        graph = build_block_graph(build_layer(Natural(), 2, 3))
+        assert graph.d == 3
+        one_block = construct_tiling(Natural(), 1, 2)
+        assert one_block.blocks[0].levels in {block.levels for block in graph.blocks}
+        with pytest.raises(ValueError, match="^not a valid tiling: "):
+            tiling_to_clique(graph, one_block)
+        moved = Tiling(graph.layer, one_block.blocks, one_block.kind, "tampered")
+        with pytest.raises(ValueError, match="^not a valid tiling: block .* is no graph vertex$"):
+            tiling_to_clique(graph, moved)
+
+    def test_repeated_block_rejected(self):
+        # d blocks, but one of them twice: not d distinct vertices
+        from cobweb import construct_tiling
+
+        graph = build_block_graph(build_layer(Natural(), 2, 3))
+        tiling = construct_tiling(Natural(), 2, 3)
+        doubled = Tiling(tiling.layer, tiling.blocks[:1] * 2 + tiling.blocks[2:], tiling.kind,
+                         "tampered")
+        assert len(doubled.blocks) == graph.d
+        with pytest.raises(ValueError, match=r"^not a valid tiling: 3 vertices \(2 distinct\), a tiling takes d = 3$"):
+            tiling_to_clique(graph, doubled)
+
+    @pytest.mark.parametrize("clique", [[0], [], [0, 0, 0]], ids=["one", "none", "repeated"])
+    def test_clique_of_another_size_rejected(self, clique):
+        graph = build_block_graph(build_layer(Natural(), 2, 3))
+        assert graph.d == 3
+        with pytest.raises(ValueError, match=r"^\d+ vertices \(\d+ distinct\), a tiling takes d = 3$"):
+            clique_to_tiling(graph, clique)
+
+    @pytest.mark.parametrize("F, k, n", [
+        (Natural(), 4, 6), (Natural(), 3, 5), (Fp(1), 4, 6), (Natural(), 4, 5),
+        (Powers(2), 2, 3), (Natural(), 2, 5), (Natural(), 3, 4),
+    ])
+    def test_round_trip_of_first_clique(self, F, k, n):
+        # the layers whose graphs the benchmark searches
+        graph = build_block_graph(build_layer(F, k, n))
+        clique = find_clique(graph)
+        tiling = clique_to_tiling(graph, clique)
+        assert verify_tiling(tiling).valid
+        assert tiling_to_clique(graph, tiling) == clique
+        assert clique_to_tiling(graph, tiling_to_clique(graph, tiling)).key() == tiling.key()
 
 
 class TestDot:

@@ -419,6 +419,19 @@ class TestGraph:
         assert len(data["clique"]) == 6
         assert dot_file.read_text().startswith("graph blockgraph {")
 
+    def test_dot_over_cap_refused(self, capsys, tmp_path):
+        # natural <3->4> has 30 vertices and 315 edges, one DOT line each
+        dot_file = tmp_path / "g.dot"
+        argv = ("graph", "natural", "3", "4", "--dot", str(dot_file))
+        rc, out, err = run(capsys, *argv, "--cap-vertices", "344")
+        assert (rc, out) == (1, "")
+        assert err == "error: DOT has 345 vertex and edge lines, over the cap 344\n"
+        assert not dot_file.exists()
+        rc, out, err = run(capsys, *argv, "--cap-vertices", "345")
+        assert (rc, err) == (0, "")
+        assert out == f"30 vertices, 315 edges, d=6\nwrote {dot_file}\n"
+        assert len(dot_file.read_text().splitlines()) == 345 + 2
+
     def test_count_max_cliques(self, capsys):
         rc, out, _ = run(capsys, "graph", "natural", "4", "4",
                          "--count-max-cliques", "--json")

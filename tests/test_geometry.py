@@ -535,14 +535,13 @@ class TestRecords:
                 delattr(record, name)
 
     def test_constructor_defaults(self):
-        from cobweb.blockgraph import CliqueCountResult, CliqueSearchResult
+        from cobweb.blockgraph import CliqueSearchResult
         from cobweb.render import RenderStyle
         from cobweb.tiling import TilingSearchResult
 
         assert PlainShape(3).sigma is None and MultiShape((2, 1)).sigma is None
         assert TilingSearchResult((), 0, True, 1).states == 0
-        assert CliqueSearchResult((), True, 1).states == 0
-        assert CliqueCountResult(0, True, 1).states == 0
+        assert CliqueSearchResult((), 0, True, 1).states == 0
         style = RenderStyle()
         assert (style.dx, style.dy, style.radius) == (40, 60, 6)
         assert RenderStyle(dx=10).dx == 10 and RenderStyle(dx=10) != style
